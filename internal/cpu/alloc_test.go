@@ -5,6 +5,7 @@ import (
 
 	"deaduops/internal/asm"
 	"deaduops/internal/isa"
+	"deaduops/internal/perfctr"
 )
 
 // TestSteadyStateRunAllocs pins the steady-state cycle loop to zero
@@ -40,5 +41,42 @@ func TestSteadyStateRunAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Run allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// TestSteadyStateMITEAllocs pins the DSB-miss path to zero heap
+// allocations. The loop's PAUSE makes its region's trace uncacheable,
+// so every iteration switches DSB→MITE and decodes the group again;
+// after warmup the front end's per-entry fetch memo already holds the
+// group's static run, MITE schedule and trace, so a whole Run must not
+// touch the heap.
+func TestSteadyStateMITEAllocs(t *testing.T) {
+	const iters = 64
+	b := asm.New(0x1000)
+	b.Movi(isa.R2, iters)
+	b.Label("loop")
+	b.Pause()
+	b.Subi(isa.R2, 1)
+	b.Cmpi(isa.R2, 0)
+	b.Jcc(isa.NE, "loop")
+	b.Halt()
+	p := b.MustBuild()
+
+	c := New(Intel())
+	c.LoadProgram(p)
+	for i := 0; i < 5; i++ {
+		if res := c.Run(0, p.Entry, testMaxCycles); res.TimedOut {
+			t.Fatal("warmup run timed out")
+		}
+	}
+	res := c.Run(0, p.Entry, testMaxCycles)
+	if n := res.Counters.Get(perfctr.DSB2MITESwitches); n < iters {
+		t.Fatalf("run switched DSB→MITE %d times, want at least one per iteration (%d)", n, iters)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		c.Run(0, p.Entry, testMaxCycles)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state MITE Run allocates %.1f objects per run, want 0", allocs)
 	}
 }

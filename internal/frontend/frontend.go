@@ -87,9 +87,10 @@ type FrontEnd struct {
 	pendingUops   []isa.Uop          // DSB stream awaiting IDQ slots
 	pendingGroup  *fetchGroup        // fetch-control applied once the stream drains
 	plan          *decode.RegionPlan // MITE schedule in progress
+	planTrace     *uopcache.Trace    // the plan's µop cache fill
 	planIdx       int
 	planGroup     *fetchGroup // group being decoded by MITE (for fill)
-	planDelivered []isa.Uop   // µops delivered so far from the plan (LSD recording)
+	planDelivered []isa.Uop   // µops delivered so far from the plan (LSD recording only)
 	sysRet        []uint64    // syscall return-address stack (architectural)
 
 	// LSD (loop stream detector) state: recently delivered groups and,
@@ -111,6 +112,56 @@ type FrontEnd struct {
 	// only runs once the previous stream has fully drained into the IDQ
 	// (and lsdRecord copies anything it retains).
 	streamBuf []isa.Uop
+
+	// memo is the per-entry fetch memo (see entryMemo), keyed by fetch
+	// entry PC. It is derived from the program alone, so it is not
+	// core state: SetProgram clears it when the program changes, and
+	// checkpoints neither save nor clear it.
+	memo map[uint64]*entryMemo
+
+	// Fixed configuration values the per-fetch path reads, hoisted out
+	// of the (large, value-returned) configuration structs.
+	regionMask  uint64 // µop cache region size − 1
+	streamWidth int    // DSB delivery µops per cycle
+	l1iLat      int    // L1I hit latency
+}
+
+// entryMemo is everything about fetching from one entry PC that is a
+// pure function of the immutable program bytes and the fixed decode
+// and µop cache configurations, built on the entry's first visit and
+// shared read-only by every later fetch from there.
+type entryMemo struct {
+	// run holds the instructions from the entry to the first of: the
+	// region end, an unmapped byte, or an instruction that always ends
+	// a fetch group (see endsGroup). end is the address one past run
+	// (the unmapped address when an unmapped byte cut it short). An
+	// empty run means the entry itself is unmapped.
+	run []*isa.Inst
+	end uint64
+	// decoded[n-1] holds the MITE schedule and µop cache trace of the
+	// group run[:n], built on the first DSB miss that fetches exactly
+	// that group (a predicted-taken JCC can cut a group short of run).
+	decoded []groupDecode
+}
+
+// groupDecode is one fetch group's legacy decode: the MITE schedule
+// and the trace the µop cache is filled with once it completes. Both
+// are read-only once built: tickMITE copies each µop before annotating
+// it, and uopcache.Fill keeps only references to the trace's µops.
+type groupDecode struct {
+	plan  *decode.RegionPlan
+	trace *uopcache.Trace
+}
+
+// endsGroup reports whether op always ends a fetch group, whatever the
+// predictors say.
+func endsGroup(op isa.Op) bool {
+	switch op {
+	case isa.HALT, isa.CPUID, isa.JMP, isa.CALL, isa.JMPI, isa.CALLI,
+		isa.RET, isa.SYSCALL, isa.SYSRET:
+		return true
+	}
+	return false
 }
 
 // New builds a fetch engine for one hardware thread.
@@ -128,13 +179,24 @@ func New(cfg Config, thread int, uc *uopcache.Cache, hier *mem.Hierarchy, bp *bp
 		// cycle loop never grows either: the IDQ is hard-capped at
 		// IDQCapacity, and one region streams at most
 		// MaxLinesPerRegion × SlotsPerLine micro-ops.
-		idq:       make([]isa.Uop, 0, cfg.IDQCapacity),
-		streamBuf: make([]isa.Uop, 0, ucfg.MaxLinesPerRegion*ucfg.SlotsPerLine),
+		idq:         make([]isa.Uop, 0, cfg.IDQCapacity),
+		streamBuf:   make([]isa.Uop, 0, ucfg.MaxLinesPerRegion*ucfg.SlotsPerLine),
+		memo:        make(map[uint64]*entryMemo),
+		regionMask:  ucfg.RegionSize() - 1,
+		streamWidth: ucfg.StreamWidth,
+		l1iLat:      hier.Config().L1I.Latency,
 	}
 }
 
-// SetProgram installs the code image.
-func (f *FrontEnd) SetProgram(p *asm.Program) { f.prog = p }
+// SetProgram installs the code image. Installing a different program
+// clears the fetch memo; reinstalling the same one keeps it warm, since
+// a program is immutable once built.
+func (f *FrontEnd) SetProgram(p *asm.Program) {
+	if p != f.prog {
+		clear(f.memo)
+	}
+	f.prog = p
+}
 
 // Program returns the installed code image (checkpointing).
 func (f *FrontEnd) Program() *asm.Program { return f.prog }
@@ -151,8 +213,10 @@ func (f *FrontEnd) Redirect(pc uint64) {
 	f.pendingUops = nil
 	f.pendingGroup = nil
 	f.plan = nil
+	f.planTrace = nil
 	f.planIdx = 0
 	f.planGroup = nil
+	f.planDelivered = f.planDelivered[:0]
 	f.lsdLog = f.lsdLog[:0]
 	f.lsdLoop = nil
 	f.lsdIdx = 0
@@ -176,7 +240,9 @@ func (f *FrontEnd) SerializeDone(resume uint64) {
 	f.pendingUops = nil
 	f.pendingGroup = nil
 	f.plan = nil
+	f.planTrace = nil
 	f.planGroup = nil
+	f.planDelivered = f.planDelivered[:0]
 	f.m = modeDSB
 }
 
@@ -214,7 +280,9 @@ func (f *FrontEnd) PopInto(dst []isa.Uop) int {
 // entry point to the region end or the first control-flow redirect the
 // predictor follows.
 type fetchGroup struct {
+	// insts is a prefix of memo.run.
 	insts []*isa.Inst
+	memo  *entryMemo
 	entry uint64
 	// next is where fetch continues after the group.
 	next uint64
@@ -250,56 +318,41 @@ func (g *fetchGroup) setPred(end uint64, p predOut) {
 	g.preds = append(g.preds, predRec{end: end, p: p})
 }
 
-// planFetch walks static code from pc, consulting the predictors, and
-// returns the fetch group. The group never crosses a region boundary
-// (micro-op cache traces are per-region) and ends early at the first
-// branch the predictor follows.
+// planFetch walks the memoized static run from pc, consulting the
+// predictors, and returns the fetch group. The group never crosses a
+// region boundary (micro-op cache traces are per-region) and ends early
+// at the first branch the predictor follows.
 func (f *FrontEnd) planFetch(pc uint64) *fetchGroup {
 	// Reuse the embedded group: at most one fetch group is live at a
 	// time (startFetch only runs once the previous group has fully
 	// delivered and finished), so rebuilding in place is safe.
 	g := &f.group
-	g.insts = g.insts[:0]
+	m := f.memoFor(pc)
+	g.memo = m
+	g.insts = m.run
 	g.preds = g.preds[:0]
 	g.entry = pc
-	g.next = 0
-	g.halt, g.serialize, g.fault = false, false, false
-	region := f.uc.RegionOf(pc)
-	regionEnd := region + f.uc.Config().RegionSize()
-	cur := pc
-	for cur < regionEnd {
-		in := f.prog.At(cur)
-		if in == nil {
-			if len(g.insts) == 0 {
-				g.fault = true
-			}
-			// Unmapped bytes inside a region: stop the group here.
-			g.next = cur
-			return g
-		}
-		g.insts = append(g.insts, in)
+	g.next = m.end
+	g.halt, g.serialize = false, false
+	g.fault = len(m.run) == 0
+	for i, in := range m.run {
 		switch in.Op {
 		case isa.HALT:
 			g.halt = true
-			g.next = in.End()
-			return g
 		case isa.CPUID:
 			g.serialize = true
-			g.next = in.End()
-			return g
 		case isa.JMP:
 			g.setPred(in.End(), predOut{taken: true, target: uint64(in.Imm), valid: true})
 			g.next = uint64(in.Imm)
-			return g
 		case isa.CALL:
 			f.bp.PushRSB(in.End())
 			g.setPred(in.End(), predOut{taken: true, target: uint64(in.Imm), valid: true})
 			g.next = uint64(in.Imm)
-			return g
 		case isa.JCC:
 			taken := f.bp.PredictDirection(in.Addr)
 			g.setPred(in.End(), predOut{taken: taken, target: uint64(in.Imm), valid: true})
 			if taken {
+				g.insts = m.run[:i+1]
 				g.next = uint64(in.Imm)
 				return g
 			}
@@ -309,28 +362,23 @@ func (f *FrontEnd) planFetch(pc uint64) *fetchGroup {
 			if in.Op == isa.CALLI {
 				f.bp.PushRSB(in.End())
 			}
-			if ok {
-				g.next = t
-			} else {
+			g.next = t
+			if !ok {
 				// No prediction: fetch stalls until the branch
 				// resolves and redirects.
 				g.next = 0
 			}
-			return g
 		case isa.RET:
 			t, ok := f.bp.PopRSB()
 			g.setPred(in.End(), predOut{taken: true, target: t, valid: ok})
-			if ok {
-				g.next = t
-			} else {
+			g.next = t
+			if !ok {
 				g.next = 0
 			}
-			return g
 		case isa.SYSCALL:
 			g.setPred(in.End(), predOut{taken: true, target: f.cfg.KernelEntry, valid: true})
 			f.sysRet = append(f.sysRet, in.End())
 			g.next = f.cfg.KernelEntry
-			return g
 		case isa.SYSRET:
 			t, ok := f.predictSysret()
 			g.setPred(in.End(), predOut{taken: true, target: t, valid: ok})
@@ -338,12 +386,50 @@ func (f *FrontEnd) planFetch(pc uint64) *fetchGroup {
 			if !ok {
 				g.next = 0
 			}
-			return g
 		}
-		cur = in.End()
 	}
-	g.next = cur
 	return g
+}
+
+// memoFor returns the memo for fetch entry pc, walking the program on
+// the entry's first visit.
+func (f *FrontEnd) memoFor(pc uint64) *entryMemo {
+	if m := f.memo[pc]; m != nil {
+		return m
+	}
+	m := &entryMemo{}
+	regionEnd := pc&^f.regionMask + f.regionMask + 1
+	cur := pc
+	for cur < regionEnd {
+		in := f.prog.At(cur)
+		if in == nil {
+			break
+		}
+		m.run = append(m.run, in)
+		cur = in.End()
+		if endsGroup(in.Op) {
+			break
+		}
+	}
+	m.end = cur
+	f.memo[pc] = m
+	return m
+}
+
+// decodeGroup returns g's MITE schedule and µop cache trace, building
+// them on the first DSB miss for this exact group.
+func (f *FrontEnd) decodeGroup(g *fetchGroup) *groupDecode {
+	m := g.memo
+	if m.decoded == nil {
+		m.decoded = make([]groupDecode, len(m.run))
+	}
+	d := &m.decoded[len(g.insts)-1]
+	if d.plan == nil {
+		d.plan = decode.PlanRegion(f.cfg.Decode, g.insts)
+		region := g.entry &^ f.regionMask
+		d.trace = uopcache.BuildTrace(f.uc.Config(), region, uint8(g.entry-region), d.plan.Macros)
+	}
+	return d
 }
 
 func (f *FrontEnd) predictSysret() (uint64, bool) {
@@ -491,7 +577,7 @@ func (f *FrontEnd) Restore(s *State) {
 // closing branch resolves against its recorded prediction and the
 // backend redirects fetch.
 func (f *FrontEnd) tickLSD(room int) {
-	n := f.uc.Config().StreamWidth
+	n := f.streamWidth
 	if n > room {
 		n = room
 	}
@@ -564,7 +650,7 @@ func (f *FrontEnd) tickDSB(room int) {
 	if len(f.pendingUops) == 0 {
 		return
 	}
-	n := f.uc.Config().StreamWidth
+	n := f.streamWidth
 	if n > room {
 		n = room
 	}
@@ -605,7 +691,9 @@ func (f *FrontEnd) tickMITE(room int) {
 			u := slot[i]
 			f.planGroup.annotate(&u)
 			f.idq = append(f.idq, u)
-			f.planDelivered = append(f.planDelivered, u)
+			if f.cfg.LSDCapacity > 0 {
+				f.planDelivered = append(f.planDelivered, u)
+			}
 			if u.FromMSROM {
 				f.ctr.Inc(perfctr.MSROMUops)
 			} else {
@@ -619,17 +707,15 @@ func (f *FrontEnd) tickMITE(room int) {
 	// Plan complete: fill the micro-op cache with the decoded trace
 	// and finish the group.
 	g := f.planGroup
-	region := f.uc.RegionOf(g.entry)
-	entry := uint8(g.entry - region)
-	t := uopcache.BuildTrace(f.uc.Config(), region, entry, f.plan.Macros)
-	f.uc.Fill(f.thread, t)
+	f.uc.Fill(f.thread, f.planTrace)
 	f.ctr.Add(perfctr.LCPStallCycles, uint64(f.plan.LCPStalls))
 	f.ctr.Add(perfctr.JccAlignStallCycles, uint64(f.plan.AlignStalls))
 	f.lsdRecord(g.entry, f.planDelivered)
 	f.plan = nil
+	f.planTrace = nil
 	f.planIdx = 0
 	f.planGroup = nil
-	f.planDelivered = nil
+	f.planDelivered = f.planDelivered[:0]
 	f.finishGroup(g)
 	// Return to the DSB path; the next fetch probes the cache again.
 	f.m = modeDSB
@@ -665,17 +751,12 @@ func (f *FrontEnd) startFetch() bool {
 		f.active = false
 		return false
 	}
-	if len(g.insts) == 0 {
-		f.finishGroup(g)
-		return false
-	}
 
 	// Instruction-cache access for the group's bytes. A miss costs the
 	// fill latency up front.
 	lat := f.hier.AccessInst(g.entry)
-	l1iLat := f.hier.Config().L1I.Latency
-	if lat > l1iLat {
-		f.stallOther += lat - l1iLat
+	if lat > f.l1iLat {
+		f.stallOther += lat - f.l1iLat
 		f.ctr.Inc(perfctr.L1IMisses)
 	}
 
@@ -702,10 +783,11 @@ func (f *FrontEnd) startFetch() bool {
 	}
 
 	// DSB miss: the switch penalty from the shared cost table, then
-	// the MITE schedule.
+	// the (memoized) MITE schedule.
 	f.ctr.Inc(perfctr.DSB2MITESwitches)
 	f.stallPen += f.costs.SwitchPenalty()
-	f.plan = decode.PlanRegion(f.cfg.Decode, g.insts)
+	d := f.decodeGroup(g)
+	f.plan, f.planTrace = d.plan, d.trace
 	f.planIdx = 0
 	f.planGroup = g
 	f.m = modeMITE

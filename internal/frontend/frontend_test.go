@@ -356,3 +356,70 @@ func TestLSDCapacityRespected(t *testing.T) {
 		t.Error("LSD locked a loop larger than its capacity")
 	}
 }
+
+// TestRedirectMidPlanResetsLSDRecord: a squash in the middle of a MITE
+// plan must discard the µops that plan already delivered, so the next
+// MITE group's LSD record holds that group's µops alone.
+func TestRedirectMidPlanResetsLSDRecord(t *testing.T) {
+	b := asm.New(0x1000)
+	for i := 0; i < 10; i++ {
+		b.Nop(1) // three decode cycles of five macro-ops
+	}
+	b.Halt()
+	b.Org(0x2000)
+	b.Label("alt")
+	b.Nop(1)
+	b.Nop(1)
+	b.Halt()
+	p := b.MustBuild()
+	fe, _, _ := lsdHarness(p, 64)
+	fe.Redirect(p.Entry)
+	for i := 0; i < 50 && len(fe.planDelivered) == 0; i++ {
+		fe.Tick()
+		fe.Pop(64)
+	}
+	if fe.plan == nil || len(fe.planDelivered) == 0 {
+		t.Fatal("never caught the MITE plan part-way through")
+	}
+	alt := p.MustLabel("alt")
+	fe.Redirect(alt)
+	drain(fe, 50)
+	if len(fe.lsdLog) != 1 {
+		t.Fatalf("LSD log holds %d groups, want 1", len(fe.lsdLog))
+	}
+	rec := fe.lsdLog[0]
+	if rec.entry != alt || len(rec.uops) != 3 {
+		t.Fatalf("LSD record entry %#x with %d µops, want %#x with 3", rec.entry, len(rec.uops), alt)
+	}
+	for _, u := range rec.uops {
+		if u.MacroAddr < alt {
+			t.Errorf("LSD record kept aborted µop at %#x", u.MacroAddr)
+		}
+	}
+}
+
+// TestMemoSurvivesRestoreClearsOnNewProgram: the fetch memo is derived
+// from the program alone, so a checkpoint restore keeps it warm and
+// reinstalling the same program keeps it, while a different program
+// clears it.
+func TestMemoSurvivesRestoreClearsOnNewProgram(t *testing.T) {
+	p := loopProg()
+	fe, _, _ := harness(p)
+	fe.Redirect(p.Entry)
+	drain(fe, 100)
+	n := len(fe.memo)
+	if n == 0 {
+		t.Fatal("fetch left the memo empty")
+	}
+	var s State
+	fe.Save(&s)
+	fe.Restore(&s)
+	fe.SetProgram(p)
+	if got := len(fe.memo); got != n {
+		t.Errorf("restore to the same program left %d memo entries, want %d", got, n)
+	}
+	fe.SetProgram(loopProg())
+	if got := len(fe.memo); got != 0 {
+		t.Errorf("a new program kept %d memo entries", got)
+	}
+}

@@ -176,6 +176,8 @@ type Cache struct {
 	smtMode   bool
 	stats     Stats
 	setShift  uint
+	// regionMask is RegionSize()−1, hoisted out of the per-lookup path.
+	regionMask uint64
 }
 
 // New builds a micro-op cache. It panics on an invalid configuration.
@@ -184,9 +186,10 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	c := &Cache{
-		cfg:       cfg,
-		sets:      make([][]line, cfg.Sets),
-		victimPtr: make([]int, cfg.Sets),
+		cfg:        cfg,
+		sets:       make([][]line, cfg.Sets),
+		victimPtr:  make([]int, cfg.Sets),
+		regionMask: cfg.RegionSize() - 1,
 	}
 	for i := range c.sets {
 		c.sets[i] = make([]line, cfg.Ways)
@@ -219,7 +222,7 @@ func (c *Cache) SMTMode() bool { return c.smtMode }
 
 // RegionOf returns the region base address containing addr.
 func (c *Cache) RegionOf(addr uint64) uint64 {
-	return addr &^ (c.cfg.RegionSize() - 1)
+	return addr &^ c.regionMask
 }
 
 // setIndex maps (thread, region) to a physical set. In Intel SMT mode
@@ -400,8 +403,9 @@ func (c *Cache) Fill(thread int, t *Trace) {
 // (validity, tags, hotness), the round-robin victim pointers, the
 // privilege domains, the SMT mode, and the counters. Line micro-op
 // slices are shared by header, not copied: a trace's µops are
-// immutable once installed (Fill stores the freshly built slice,
-// LookupAppend copies out of it), so sharing is safe across any
+// immutable once built (Fill stores references to them — the fetch
+// engine fills the same memoized trace on every DSB miss of a group —
+// and LookupAppend copies out of them), so sharing is safe across any
 // number of restores and costs O(ways), not O(µops). Backing arrays
 // are recycled across Save calls; a snapshot only restores into a
 // cache built from the same geometry.
