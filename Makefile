@@ -65,7 +65,9 @@ bench-diff:
 # simulator-measured refill deltas (including the resolution-gated
 # indirect shapes), the receiver model's predicted vs attack-measured
 # probe cycles, and the jump-alignment stall asymmetry on
-# alignment-divergent victims.
+# alignment-divergent victims — plus the checkpoint ≡ straight-line
+# contract: a PointRunner's checkpointed measurements equal a fresh
+# core's, under every profile, with cycle skip on and off.
 fuzz:
 	$(GO) test ./internal/asm -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/decode -fuzz FuzzPlanRegion -fuzztime $(FUZZTIME)
@@ -74,6 +76,7 @@ fuzz:
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzProbeModel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzAlignmentDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzIndirectDelta -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/staticlint/difftest -fuzz FuzzPointRunner -fuzztime $(FUZZTIME)
 
 check: build vet test race lint
 	$(MAKE) fuzz FUZZTIME=5s

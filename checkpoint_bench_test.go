@@ -1,11 +1,11 @@
-// Benchmarks for the checkpointed measurement paths: one difftest
-// point and one channel calibration, each measured with the classic
-// fresh-core-per-call protocol (checkpoint=off, cycle skip disabled)
-// and with checkpoint forking plus the event-driven fast path
-// (checkpoint=on). The =on variants report the measured speedup over
-// an inline baseline and the fraction of simulated cycles the fast
-// path crossed in single steps — the two numbers the perf-regression
-// gate watches.
+// Benchmarks for the checkpointed measurement paths. One difftest
+// point is measured on a fresh PointRunner per iteration with cycle
+// skip disabled (checkpoint=off) and on one reused PointRunner whose
+// repeat measurements fork from trained checkpoints, plus the
+// event-driven fast path (checkpoint=on). The =on variant reports its
+// speedup over an inline fresh-runner baseline and the fraction of
+// simulated cycles the fast path crossed in single steps. One channel
+// calibration is measured with cycle skip disabled.
 package deaduops_test
 
 import (
@@ -15,7 +15,6 @@ import (
 	"deaduops/internal/asm"
 	"deaduops/internal/attack"
 	"deaduops/internal/cpu"
-	"deaduops/internal/perfctr"
 	"deaduops/internal/staticlint/difftest"
 )
 
@@ -23,15 +22,14 @@ import (
 // protocols are equivalent on all of them (TestPointRunnerMatchesMeasure).
 const difftestPointSeed = 7
 
-// classicPoint is one point measured the pre-checkpoint way: a fresh
-// core and a full training prefix per direction per quantity.
-func classicPoint(b *testing.B, h *difftest.Harness, v *difftest.Victim, a *cpu.Arena) {
+// freshPoint is one point measured without checkpoint reuse: a fresh
+// PointRunner (one core, one training prefix per direction) measuring
+// both directions once.
+func freshPoint(b *testing.B, h *difftest.Harness, v *difftest.Victim, a *cpu.Arena) {
 	b.Helper()
+	r := h.NewPointRunner(v, a)
 	for _, secret := range []int64{1, 0} {
-		if _, err := h.MeasureDirectionWith(v, secret, a); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := h.MeasureSwitches(v, secret, a); err != nil {
+		if _, err := r.Measure(secret); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -47,10 +45,10 @@ func BenchmarkDifftestPoint(b *testing.B) {
 			b.Fatal(err)
 		}
 		a := new(cpu.Arena)
-		classicPoint(b, h, v, a) // warm the arena
+		freshPoint(b, h, v, a) // warm the arena
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			classicPoint(b, h, v, a)
+			freshPoint(b, h, v, a)
 		}
 	})
 	b.Run("checkpoint=on", func(b *testing.B) {
@@ -59,16 +57,16 @@ func BenchmarkDifftestPoint(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Inline baseline: the classic protocol on a skip-disabled
+		// Inline baseline: a fresh runner per point on a skip-disabled
 		// harness, so the reported speedup is measured in-process
 		// rather than inferred across sub-benchmarks.
 		hOff := h.WithoutCycleSkip()
 		aOff := new(cpu.Arena)
-		classicPoint(b, hOff, v, aOff)
+		freshPoint(b, hOff, v, aOff)
 		const baseReps = 3
 		t0 := time.Now()
 		for i := 0; i < baseReps; i++ {
-			classicPoint(b, hOff, v, aOff)
+			freshPoint(b, hOff, v, aOff)
 		}
 		baseNs := float64(time.Since(t0).Nanoseconds()) / baseReps
 
@@ -130,58 +128,6 @@ func BenchmarkCalibrate(b *testing.B) {
 			if _, err := attack.Calibrate(c, recv, send, primeIters, probeIters, rounds); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("checkpoint=on", func(b *testing.B) {
-		offCfg := cpu.Intel()
-		offCfg.DisableCycleSkip = true
-		cOff, recvOff, sendOff := calibrateRig(b, offCfg)
-		const baseReps = 3
-		t0 := time.Now()
-		for i := 0; i < baseReps; i++ {
-			if _, err := attack.Calibrate(cOff, recvOff, sendOff, primeIters, probeIters, rounds); err != nil {
-				b.Fatal(err)
-			}
-		}
-		baseNs := float64(time.Since(t0).Nanoseconds()) / baseReps
-
-		c, recv, send := calibrateRig(b, cpu.Intel())
-		var ck cpu.Checkpoint
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := attack.CalibrateCheckpointed(c, &ck, recv, send, primeIters, probeIters, rounds); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if el := b.Elapsed(); el > 0 && b.N > 0 {
-			b.ReportMetric(baseNs/(float64(el.Nanoseconds())/float64(b.N)), "speedup-vs-fresh")
-		}
-		// Skip-engagement audit: every Restore rewinds the perf
-		// counters to the snapshot, so a loop-wide counter delta would
-		// be meaningless — instead replay one calibration with a
-		// counter read around each run between restores.
-		var skipped, total uint64
-		runCounted := func(r *attack.Routine, iters int64) {
-			s0 := c.Counters(0).Snapshot()
-			if _, err := r.Run(c, 0, iters); err != nil {
-				b.Fatal(err)
-			}
-			d := c.Counters(0).Snapshot().Delta(s0)
-			skipped += d.Get(perfctr.SkippedCycles)
-			total += d.Get(perfctr.Cycles)
-		}
-		runCounted(recv, primeIters)
-		c.Checkpoint(&ck)
-		for i := 0; i < rounds; i++ {
-			c.Restore(&ck)
-			runCounted(recv, probeIters)
-			c.Restore(&ck)
-			runCounted(send, primeIters)
-			runCounted(recv, probeIters)
-		}
-		if total > 0 {
-			b.ReportMetric(float64(skipped)/float64(total), "skipped/total-cycles")
 		}
 	})
 }

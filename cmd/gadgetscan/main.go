@@ -11,8 +11,8 @@ import (
 	"os"
 
 	"deaduops/internal/asm"
-	"deaduops/internal/gadget"
 	"deaduops/internal/ref"
+	"deaduops/internal/staticlint"
 	"deaduops/internal/victim"
 )
 
@@ -24,17 +24,22 @@ func main() {
 	flag.Parse()
 
 	lay := victim.DefaultLayout()
-	var total gadget.Census
+	cfg := staticlint.DefaultConfig()
+	total := map[staticlint.GadgetKind]int{}
 
 	scan := func(name string, p *asm.Program) {
-		found := gadget.Scan(p)
-		c := gadget.Count(found)
-		total.UopCache += c.UopCache
-		total.SpectreV1 += c.SpectreV1
-		fmt.Printf("%-28s µop-cache %d  spectre-v1 %d\n", name, c.UopCache, c.SpectreV1)
+		found := staticlint.ScanGadgets(p, cfg)
+		c := map[staticlint.GadgetKind]int{}
+		for _, h := range found {
+			c[h.Kind]++
+			total[h.Kind]++
+		}
+		fmt.Printf("%-28s µop-cache %d  spectre-v1 %d\n",
+			name, c[staticlint.GadgetUopCache], c[staticlint.GadgetSpectreV1])
 		if *verbose {
-			for _, f := range found {
-				fmt.Printf("    %s\n", f)
+			for _, h := range found {
+				fmt.Printf("    %s gadget: guard %#x → load %#x → sink %#x\n",
+					h.Kind, h.Guard, h.Load, h.Sink)
 			}
 		}
 	}
@@ -45,9 +50,9 @@ func main() {
 	}
 
 	// Random program population.
-	cfg := ref.DefaultGenConfig()
+	gen := ref.DefaultGenConfig()
 	for s := 1; s <= *seeds; s++ {
-		p, err := ref.Generate(uint64(s), cfg)
+		p, err := ref.Generate(uint64(s), gen)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -56,5 +61,5 @@ func main() {
 	}
 
 	fmt.Printf("\ntotal: µop-cache %d, spectre-v1 %d (paper's linux census: 100 vs 19)\n",
-		total.UopCache, total.SpectreV1)
+		total[staticlint.GadgetUopCache], total[staticlint.GadgetSpectreV1])
 }

@@ -24,8 +24,10 @@ type Config struct {
 	// JobWorkers is the per-job parsweep.Map worker count used to lint
 	// the job's programs (GOMAXPROCS when <= 0).
 	JobWorkers int
-	// MaxJobs bounds the retained job results (minimum 1); the oldest
-	// are forgotten first.
+	// MaxJobs bounds the retained finished (done or failed) job
+	// results (minimum 1); the oldest are forgotten first, on the next
+	// submission. Queued and running jobs are never forgotten — they
+	// are already bounded by Workers + QueueCap.
 	MaxJobs int
 }
 
@@ -241,10 +243,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	job := &Job{ID: fmt.Sprintf("job-%d", s.seq), Status: "queued"}
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
-	for len(s.order) > s.cfg.MaxJobs {
-		delete(s.jobs, s.order[0])
-		s.order = s.order[1:]
-	}
+	s.evictFinished()
 	s.mu.Unlock()
 
 	if !s.pool.TrySubmit(func() { s.runJob(job, p) }) {
@@ -268,6 +267,27 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.counters.Accepted++
 	s.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": job.ID, "status": "queued"})
+}
+
+// evictFinished forgets the oldest finished jobs while more than
+// MaxJobs are retained. A queued or running job is skipped: forgetting
+// it would turn its next poll into a 404 and lose its result. Callers
+// hold s.mu.
+func (s *Server) evictFinished() {
+	excess := len(s.order) - s.cfg.MaxJobs
+	if excess <= 0 {
+		return
+	}
+	kept := s.order[:0]
+	for _, id := range s.order {
+		if st := s.jobs[id].Status; excess > 0 && (st == "done" || st == "failed") {
+			delete(s.jobs, id)
+			excess--
+			continue
+		}
+		kept = append(kept, id)
+	}
+	s.order = kept
 }
 
 // runJob executes one audit on a pool worker. A panic anywhere in the

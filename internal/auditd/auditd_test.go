@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -373,6 +374,47 @@ func TestJobRetention(t *testing.T) {
 	}
 	if job := waitJob(t, ts, ids[2]); job.Status != "done" {
 		t.Errorf("retained job %s lost: %+v", ids[2], job)
+	}
+}
+
+// TestRetentionKeepsLiveJobs: retention forgets only finished jobs.
+// With the single worker wedged, more than MaxJobs accepted jobs sit
+// in the queue; every one must stay pollable and finish once the
+// worker is released.
+func TestRetentionKeepsLiveJobs(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8, MaxJobs: 2})
+	release := make(chan struct{})
+	var once sync.Once
+	unwedge := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unwedge)
+	if !s.pool.TrySubmit(func() { <-release }) {
+		t.Fatal("could not wedge the worker")
+	}
+
+	var ids []string
+	for i := 0; i < 4; i++ {
+		id, code := submitJob(t, ts, `{"fixture":"bounds-check"}`)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d", i, code)
+		}
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("unfinished job %s: status %d, want 200", id, resp.StatusCode)
+		}
+	}
+
+	unwedge()
+	for _, id := range ids {
+		if job := waitJob(t, ts, id); job.Status != "done" {
+			t.Errorf("job %s: %s %s", id, job.Status, job.Error)
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ func AlignChannel(o Options) (*Table, error) {
 			"Victim (seed)", "Direction", "Straddling jccs", "Align stall", "Predicted", "Measured", "Error",
 		},
 	}
-	results, err := difftest.RunShapeMany(alignChannelSeeds, o.Workers, difftest.ShapeAlign)
+	results, err := difftest.DefaultHarness().RunShapeMany(alignChannelSeeds, o.Workers, difftest.ShapeAlign)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func LeakPredict(o Options) (*Table, error) {
 			"Victim (seed)", "Direction", "Predicted", "Measured", "Error",
 		},
 	}
-	results, err := difftest.RunMany(leakpredictSeeds, o.Workers)
+	results, err := difftest.DefaultHarness().RunMany(leakpredictSeeds, o.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -34,7 +34,7 @@ func ProbeModel(o Options) (*Table, error) {
 			"Victim (seed)", "Probe", "Predicted", "Measured", "Error", "Margin",
 		},
 	}
-	results, err := difftest.RunProbeMany(probemodelSeeds, o.Workers)
+	results, err := difftest.DefaultHarness().RunProbeMany(probemodelSeeds, o.Workers)
 	if err != nil {
 		return nil, err
 	}

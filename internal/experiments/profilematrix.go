@@ -112,7 +112,7 @@ func profileRow(p profile.Profile, o Options) ([]string, error) {
 	// align-stall asymmetry. Zero-penalty decoders have no such stall.
 	alignDelta := NoChannelMark
 	if p.Decode.JccAlignPenalty > 0 {
-		r, err := h.RunShapeWith(1, difftest.ShapeAlign, nil)
+		r, err := h.RunShape(1, difftest.ShapeAlign, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +125,7 @@ func profileRow(p profile.Profile, o Options) ([]string, error) {
 	// never transitions, so there is no switch channel.
 	switchDelta := NoChannelMark
 	if p.HasDSB() {
-		r, err := h.RunShapeWith(1, difftest.ShapeSwitch, nil)
+		r, err := h.RunShape(1, difftest.ShapeSwitch, nil)
 		if err != nil {
 			return nil, err
 		}

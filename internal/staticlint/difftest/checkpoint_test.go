@@ -4,9 +4,9 @@ package difftest
 // on: the event-driven cycle-skip fast path (TestSkipCyclesEquivalence
 // proves skip on/off is bit-identical over the full corpus, per
 // profile) and the checkpoint-based PointRunner
-// (TestPointRunnerMatchesMeasure proves it reproduces the classic
-// fresh-core-per-call entry points exactly, including on repeat
-// measurements served from trained checkpoints).
+// (TestPointRunnerMatchesMeasure and FuzzPointRunner prove it
+// reproduces a fresh core's straight-line run sequence exactly,
+// including on repeat measurements served from trained checkpoints).
 
 import (
 	"fmt"
@@ -15,11 +15,14 @@ import (
 	"deaduops/internal/cpu"
 	"deaduops/internal/parsweep"
 	"deaduops/internal/perfctr"
+	"deaduops/internal/profile"
 )
 
-// measureSequence replays MeasureDirectionWith's exact run sequence —
-// train ×trainRuns, warm, flush, cold — on a core built from cfg,
-// returning every run's full RunResult for byte-level comparison.
+// measureSequence replays one direction's measurement straight-line on
+// a fresh core built from cfg — write the secret, train ×trainRuns,
+// warm, flush, cold — returning every run's full RunResult for
+// byte-level comparison. It is the oracle the checkpointed PointRunner
+// answers to.
 func measureSequence(cfg cpu.Config, v *Victim, a *cpu.Arena, secret int64) ([trainRuns + 2]cpu.RunResult, error) {
 	var out [trainRuns + 2]cpu.RunResult
 	c := cpu.NewWith(cfg, a)
@@ -114,17 +117,66 @@ func TestSkipCyclesEquivalence(t *testing.T) {
 	}
 }
 
-// pointSeeds bounds the PointRunner equality corpus per profile; each
-// seed costs four classic fresh-core measurements plus four
-// checkpointed ones.
+// replayPoint is the Point a fresh-core measureSequence yields for one
+// direction: the oracle for PointRunner.Measure.
+func replayPoint(cfg cpu.Config, v *Victim, a *cpu.Arena, secret int64) (Point, error) {
+	runs, err := measureSequence(cfg, v, a, secret)
+	if err != nil {
+		return Point{}, err
+	}
+	warm, cold := runs[trainRuns], runs[trainRuns+1]
+	return Point{
+		Delta:        int(cold.Cycles) - int(warm.Cycles),
+		WarmSwitches: int(warm.Counters.Get(perfctr.DSB2MITESwitches)),
+		ColdSwitches: int(cold.Counters.Get(perfctr.DSB2MITESwitches)),
+		SkippedCycles: warm.Counters.Get(perfctr.SkippedCycles) +
+			cold.Counters.Get(perfctr.SkippedCycles),
+		TotalCycles: warm.Cycles + cold.Cycles,
+	}, nil
+}
+
+// checkPointRunner measures both directions of v twice on one
+// PointRunner — first calls forked from the pristine checkpoint, then
+// repeats served from the trained checkpoints, interleaved so each
+// restore undoes the other direction's runs — and requires every
+// Point to equal the fresh-core replay.
+func checkPointRunner(h *Harness, v *Victim, a *cpu.Arena) error {
+	secrets := [2]int64{1, 0}
+	var want [2]Point
+	for i, secret := range secrets {
+		var err error
+		if want[i], err = replayPoint(h.CPUConfig(), v, a, secret); err != nil {
+			return err
+		}
+		if want[i].TotalCycles == 0 {
+			return fmt.Errorf("seed %d: empty measurement window", v.Seed)
+		}
+	}
+	r := h.NewPointRunner(v, a)
+	for pass := 0; pass < 2; pass++ {
+		for i, secret := range secrets {
+			got, err := r.Measure(secret)
+			if err != nil {
+				return err
+			}
+			if got != want[i] {
+				return fmt.Errorf("seed %d secret %d pass %d: point %+v, fresh-core replay %+v",
+					v.Seed, secret, pass, got, want[i])
+			}
+		}
+	}
+	return nil
+}
+
+// pointSeeds bounds the PointRunner equality corpus per profile.
 const pointSeeds = 40
 
 // TestPointRunnerMatchesMeasure proves the checkpointed PointRunner
-// reproduces the classic entry points exactly: per (seed, secret), its
-// Delta must equal MeasureDirectionWith and its switch counts must
-// equal MeasureSwitches — on the first call (trained from the pristine
-// checkpoint) and again on a repeat call (served from the trained
-// checkpoint).
+// reproduces a fresh core's straight-line run sequence exactly: per
+// (seed, secret), its Point — refill delta, warm/cold switch counts,
+// skipped and total cycles — must equal measureSequence's, on the
+// first call (trained from the pristine checkpoint) and again on a
+// repeat call (served from the trained checkpoint).
 func TestPointRunnerMatchesMeasure(t *testing.T) {
 	for _, p := range matrixProfiles(t) {
 		p := p
@@ -133,42 +185,40 @@ func TestPointRunnerMatchesMeasure(t *testing.T) {
 			_, err := parsweep.MapArena(parsweep.Options{}, pointSeeds,
 				func() *cpu.Arena { return new(cpu.Arena) },
 				func(a *cpu.Arena, i int) (struct{}, error) {
-					var zero struct{}
 					v, err := h.Generate(uint64(i + 1))
 					if err != nil {
-						return zero, err
+						return struct{}{}, err
 					}
-					r := h.NewPointRunner(v, a)
-					for _, secret := range []int64{1, 0} {
-						delta, err := h.MeasureDirectionWith(v, secret, a)
-						if err != nil {
-							return zero, err
-						}
-						warm, cold, err := h.MeasureSwitches(v, secret, a)
-						if err != nil {
-							return zero, err
-						}
-						for pass := 0; pass < 2; pass++ {
-							pt, err := r.Measure(secret)
-							if err != nil {
-								return zero, err
-							}
-							if pt.Delta != delta || pt.WarmSwitches != warm || pt.ColdSwitches != cold {
-								return zero, fmt.Errorf(
-									"seed %d secret %d pass %d: point {Δ%d w%d c%d}, classic {Δ%d w%d c%d}",
-									v.Seed, secret, pass, pt.Delta, pt.WarmSwitches, pt.ColdSwitches,
-									delta, warm, cold)
-							}
-							if pt.TotalCycles == 0 {
-								return zero, fmt.Errorf("seed %d: empty measurement window", v.Seed)
-							}
-						}
-					}
-					return zero, nil
+					return struct{}{}, checkPointRunner(h, v, a)
 				})
 			if err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
+}
+
+// FuzzPointRunner is the checkpoint ≡ straight-line contract over
+// random victims: under profile prof (modulo the registered profiles)
+// with the cycle-skip fast path on or off, every PointRunner Measure —
+// first and repeat, both directions — must equal the fresh-core
+// replay.
+func FuzzPointRunner(f *testing.F) {
+	for i, seed := range []uint64{0, 1, 5, 7, 9, 19, 220} {
+		f.Add(seed, uint8(i), i%2 == 0)
+	}
+	profiles := profile.All()
+	f.Fuzz(func(t *testing.T, seed uint64, prof uint8, skip bool) {
+		h := NewHarness(profiles[int(prof)%len(profiles)])
+		if !skip {
+			h = h.WithoutCycleSkip()
+		}
+		v, err := h.Generate(seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := checkPointRunner(h, v, nil); err != nil {
+			t.Fatalf("%s (skip %v): %v", h.Profile.Name, skip, err)
+		}
+	})
 }

@@ -14,11 +14,12 @@ import (
 // window-straddling jumps, and the straddle count must price exactly
 // (one straddling jcc per region, JccAlignPenalty cycles each).
 func TestAlignCorpus(t *testing.T) {
-	results, err := RunShapeMany(SeedRange(1, corpusSize), 0, ShapeAlign)
+	h := DefaultHarness()
+	results, err := h.RunShapeMany(SeedRange(1, corpusSize), 0, ShapeAlign)
 	if err != nil {
 		t.Fatal(err)
 	}
-	penalty := Config().Decode.JccAlignPenalty
+	penalty := h.Config().Decode.JccAlignPenalty
 	var straddleTaken, straddleFall int
 	for _, r := range results {
 		if err := r.Validate(); err != nil {
@@ -69,12 +70,13 @@ func btoi(b bool) int {
 // sample of generated victims and requires a finding at the generated
 // branch whose align delta matches the prediction's breakout.
 func TestAlignCheckerOnCorpus(t *testing.T) {
+	h := DefaultHarness()
 	for seed := uint64(1); seed <= 25; seed++ {
-		v, err := GenerateShape(seed, ShapeAlign)
+		v, err := h.GenerateShape(seed, ShapeAlign)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := staticlint.Lint(v.Prog, Spec(), Config())
+		r := staticlint.Lint(v.Prog, Spec(), h.Config())
 		var hit *staticlint.Finding
 		for i, f := range r.ByChecker("secret-dependent-jump-alignment") {
 			if f.Addr == v.Branch {
@@ -97,7 +99,8 @@ func TestAlignCheckerOnCorpus(t *testing.T) {
 // DSB2MITESwitches counter reads exactly — the switch contract is
 // counter equality, not tolerance.
 func TestSwitchCorpus(t *testing.T) {
-	results, err := RunShapeMany(SeedRange(1, corpusSize), 0, ShapeSwitch)
+	h := DefaultHarness()
+	results, err := h.RunShapeMany(SeedRange(1, corpusSize), 0, ShapeSwitch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +119,7 @@ func TestSwitchCorpus(t *testing.T) {
 			t.Errorf("seed %d: predicted warm switch-point diff %d, want %d (uncacheable tail regions)",
 				r.Seed, diff, want)
 		}
+		runner := h.NewPointRunner(v, arena)
 		for _, dir := range []struct {
 			name   string
 			secret int64
@@ -124,10 +128,11 @@ func TestSwitchCorpus(t *testing.T) {
 			{"taken", 1, p.TakenCost},
 			{"fall", 0, p.FallCost},
 		} {
-			warm, cold, err := MeasureSwitches(v, dir.secret, arena)
+			pt, err := runner.Measure(dir.secret)
 			if err != nil {
 				t.Fatal(err)
 			}
+			warm, cold := pt.WarmSwitches, pt.ColdSwitches
 			if warm != dir.cost.WarmSwitchPoints || cold != dir.cost.ColdSwitchPoints {
 				t.Errorf("seed %d %s: measured switches warm %d / cold %d, predicted %d / %d\nvictim: %s",
 					r.Seed, dir.name, warm, cold,
@@ -142,13 +147,14 @@ func TestSwitchCorpus(t *testing.T) {
 // fire at the generated branch with the tail chain's region count
 // priced at the full switch bubble.
 func TestSwitchCheckerOnCorpus(t *testing.T) {
-	bubble := 1 + Config().Costs().SwitchPenalty()
+	h := DefaultHarness()
+	bubble := 1 + h.Config().Costs().SwitchPenalty()
 	for seed := uint64(1); seed <= 25; seed++ {
-		v, err := GenerateShape(seed, ShapeSwitch)
+		v, err := h.GenerateShape(seed, ShapeSwitch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := staticlint.Lint(v.Prog, Spec(), Config())
+		r := staticlint.Lint(v.Prog, Spec(), h.Config())
 		var hit *staticlint.Finding
 		for i, f := range r.ByChecker("dsb-mite-switch") {
 			if f.Addr == v.Branch {
@@ -169,7 +175,7 @@ func TestSwitchCheckerOnCorpus(t *testing.T) {
 // carry taint across the CALLI and the stitched fetch path must price
 // the callee exactly.
 func TestIndirectCorpus(t *testing.T) {
-	results, err := RunShapeMany(SeedRange(1, corpusSize), 0, ShapeIndirect)
+	results, err := DefaultHarness().RunShapeMany(SeedRange(1, corpusSize), 0, ShapeIndirect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +194,13 @@ func TestIndirectCorpus(t *testing.T) {
 // instead of havocking it, the secret-branch finding disappears and
 // this test fails — missed taint is unsoundness, not precision.
 func TestIndirectHavocSoundness(t *testing.T) {
+	h := DefaultHarness()
 	for _, seed := range []uint64{1, 2, 3, 7, 42} {
-		v, err := GenerateShape(seed, ShapeIndirect)
+		v, err := h.GenerateShape(seed, ShapeIndirect)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := staticlint.Lint(v.Prog, Spec(), Config())
+		r := staticlint.Lint(v.Prog, Spec(), h.Config())
 		var hit *staticlint.Finding
 		for i, f := range r.ByChecker("secret-dependent-branch") {
 			if f.Addr == v.Branch {
@@ -217,13 +224,14 @@ func TestIndirectHavocSoundness(t *testing.T) {
 // TestGenerateShapeDeterministic pins the pinned-shape generator the
 // same way TestGenerateDeterministic pins the seed-drawn one.
 func TestGenerateShapeDeterministic(t *testing.T) {
+	h := DefaultHarness()
 	for _, shape := range []Shape{ShapeAlign, ShapeSwitch, ShapeIndirect, ShapeIndirectTable, ShapeIndirectMutual} {
 		for _, seed := range []uint64{1, 7, 99} {
-			v1, err := GenerateShape(seed, shape)
+			v1, err := h.GenerateShape(seed, shape)
 			if err != nil {
 				t.Fatalf("%v seed %d: %v", shape, seed, err)
 			}
-			v2, err := GenerateShape(seed, shape)
+			v2, err := h.GenerateShape(seed, shape)
 			if err != nil {
 				t.Fatalf("%v seed %d: %v", shape, seed, err)
 			}
@@ -235,7 +243,7 @@ func TestGenerateShapeDeterministic(t *testing.T) {
 			}
 		}
 	}
-	if _, err := GenerateShape(1, ShapeIndirectMutual+1); err == nil {
+	if _, err := h.GenerateShape(1, ShapeIndirectMutual+1); err == nil {
 		t.Error("out-of-range shape accepted")
 	}
 }
@@ -251,7 +259,7 @@ func FuzzAlignmentDelta(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		r, err := RunShape(seed, ShapeAlign)
+		r, err := DefaultHarness().RunShape(seed, ShapeAlign, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -272,7 +280,7 @@ func FuzzAlignmentDelta(f *testing.F) {
 // resolution proves the complete {hot, decoy} set and joins the hot
 // callee's summary across the call.
 func TestIndirectTableCorpus(t *testing.T) {
-	results, err := RunShapeMany(SeedRange(1, corpusSize), 0, ShapeIndirectTable)
+	results, err := DefaultHarness().RunShapeMany(SeedRange(1, corpusSize), 0, ShapeIndirectTable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +296,7 @@ func TestIndirectTableCorpus(t *testing.T) {
 // differential contract: the summary fixpoint must converge over the
 // resolved A → B → A cycle before the callee's branch can be priced.
 func TestIndirectMutualCorpus(t *testing.T) {
-	results, err := RunShapeMany(SeedRange(1, corpusSize), 0, ShapeIndirectMutual)
+	results, err := DefaultHarness().RunShapeMany(SeedRange(1, corpusSize), 0, ShapeIndirectMutual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,12 +314,13 @@ func TestIndirectMutualCorpus(t *testing.T) {
 // before-rate, and a divergence finding at the generated branch whose
 // call chain crosses the resolved indirect frame.
 func TestIndirectTableResolution(t *testing.T) {
+	h := DefaultHarness()
 	for seed := uint64(1); seed <= 25; seed++ {
-		v, err := GenerateShape(seed, ShapeIndirectTable)
+		v, err := h.GenerateShape(seed, ShapeIndirectTable)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := staticlint.Lint(v.Prog, Spec(), Config())
+		r := staticlint.Lint(v.Prog, Spec(), h.Config())
 		if len(r.Resolved) != 1 {
 			t.Fatalf("seed %d: %d resolved sites, want 1", seed, len(r.Resolved))
 		}
@@ -335,12 +344,13 @@ func TestIndirectTableResolution(t *testing.T) {
 // inside callee A still traces its chain through the resolved entry
 // frame.
 func TestIndirectMutualResolution(t *testing.T) {
+	h := DefaultHarness()
 	for seed := uint64(1); seed <= 25; seed++ {
-		v, err := GenerateShape(seed, ShapeIndirectMutual)
+		v, err := h.GenerateShape(seed, ShapeIndirectMutual)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := staticlint.Lint(v.Prog, Spec(), Config())
+		r := staticlint.Lint(v.Prog, Spec(), h.Config())
 		if len(r.Resolved) != 3 {
 			t.Fatalf("seed %d: %d resolved sites, want 3 (entry + two recursion stubs)", seed, len(r.Resolved))
 		}
@@ -403,13 +413,14 @@ func assertChainThroughFrame(t *testing.T, r *staticlint.Report, v *Victim, call
 // the static set is an over-approximation of everything the hardware
 // predictor ever learns.
 func TestIndirectBPUCrossCheck(t *testing.T) {
+	h := DefaultHarness()
 	for _, shape := range []Shape{ShapeIndirectTable, ShapeIndirectMutual} {
 		for seed := uint64(1); seed <= 10; seed++ {
-			v, err := GenerateShape(seed, shape)
+			v, err := h.GenerateShape(seed, shape)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := staticlint.Lint(v.Prog, Spec(), Config())
+			r := staticlint.Lint(v.Prog, Spec(), h.Config())
 			static := map[uint64]map[uint64]bool{}
 			for _, site := range r.Resolved {
 				set := map[uint64]bool{}
@@ -418,7 +429,7 @@ func TestIndirectBPUCrossCheck(t *testing.T) {
 				}
 				static[site.Addr] = set
 			}
-			c := cpu.NewWith(DefaultHarness().cpuCfg, nil)
+			c := cpu.NewWith(h.cpuCfg, nil)
 			c.LoadProgram(v.Prog)
 			for _, secret := range []int64{0, 1} {
 				c.Mem().Write(SecretAddr, 1, secret)
@@ -467,7 +478,7 @@ func FuzzIndirectDelta(f *testing.F) {
 		if table {
 			shape = ShapeIndirectTable
 		}
-		r, err := RunShape(seed, shape)
+		r, err := DefaultHarness().RunShape(seed, shape, nil)
 		if err != nil {
 			t.Fatalf("%v seed %d: %v", shape, seed, err)
 		}

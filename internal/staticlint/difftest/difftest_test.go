@@ -18,7 +18,7 @@ const corpusSize = 200
 
 func TestDifferentialCorpus(t *testing.T) {
 	worst := 0.0
-	results, err := RunMany(SeedRange(1, corpusSize), 0)
+	results, err := DefaultHarness().RunMany(SeedRange(1, corpusSize), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +44,13 @@ func TestDifferentialCorpus(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
+	h := DefaultHarness()
 	for _, seed := range []uint64{1, 4, 8, 1337} {
-		v1, err := Generate(seed)
+		v1, err := h.Generate(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		v2, err := Generate(seed)
+		v2, err := h.Generate(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -61,11 +62,11 @@ func TestGenerateDeterministic(t *testing.T) {
 			!reflect.DeepEqual(v1.FallUnc, v2.FallUnc) {
 			t.Errorf("seed %d: generation not deterministic:\n%+v\n%+v", seed, v1, v2)
 		}
-		p1, err := Predict(v1)
+		p1, err := h.Predict(v1)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		p2, err := Predict(v2)
+		p2, err := h.Predict(v2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -97,7 +98,7 @@ type canonicalRecord struct {
 func TestCanonicalGolden(t *testing.T) {
 	var records []canonicalRecord
 	for _, seed := range canonicalSeeds {
-		r, err := Run(seed)
+		r, err := DefaultHarness().Run(seed, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -159,7 +160,7 @@ func FuzzPredictedDelta(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		r, err := Run(seed)
+		r, err := DefaultHarness().Run(seed, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -1,14 +1,13 @@
 package difftest
 
 // harness.go binds the differential harness to one registered
-// front-end profile. Historically every entry point in this package
-// was hard-wired to the Skylake model; a Harness carries the profile's
-// analysis configuration, the matching simulator core configuration,
-// and the generator geometry derived from the profile, so the same
-// corpus contracts run under Zen, Zen 2, or the no-DSB control. The
-// package-level functions (Generate, Predict, Run, RunMany, ...)
-// delegate to the default Skylake harness, keeping their RNG streams —
-// and therefore every committed fuzz seed and golden — byte-identical.
+// front-end profile. A *Harness is the package's only entry point:
+// every operation — Generate, GenerateShape, Predict, Run, RunShape,
+// RunProbe, the corpus runners and NewPointRunner — is a method on
+// it. A Harness carries the profile's analysis configuration, the
+// matching simulator core configuration, and the generator geometry
+// derived from the profile, so the same corpus contracts run under
+// Skylake (DefaultHarness), Zen, Zen 2, or the no-DSB control.
 
 import (
 	"deaduops/internal/cpu"
@@ -69,7 +68,8 @@ func NewHarness(p profile.Profile) *Harness {
 var defaultHarness = NewHarness(profile.Default())
 
 // DefaultHarness returns the package's default (Skylake) harness — the
-// one every package-level entry point delegates to.
+// one canonical.golden, probe.golden and the committed fuzz seeds are
+// recorded under.
 func DefaultHarness() *Harness { return defaultHarness }
 
 // Config returns the analysis configuration the harness lints with:

@@ -1,12 +1,12 @@
 package difftest
 
 // parallel.go fans the differential corpora out over a bounded worker
-// pool. Every seed is an independent measurement — Generate is a pure
-// function of the seed and each direction runs on a fresh core — so
-// the corpus runners only need parsweep's ordering guarantee: results
-// come back seed-ordered and the reported failure is the
-// lowest-indexed one, making corpus runs reproducible at any worker
-// count.
+// pool. Every seed is an independent measurement — generation is a
+// pure function of the seed and each victim runs on its own
+// PointRunner core — so the corpus runners only need parsweep's
+// ordering guarantee: results come back seed-ordered and the reported
+// failure is the lowest-indexed one, making corpus runs reproducible
+// at any worker count.
 
 import (
 	"deaduops/internal/cpu"
@@ -16,51 +16,33 @@ import (
 // RunMany runs every seed through the victim-side harness (Run) across
 // workers pool goroutines (0 selects GOMAXPROCS), one reusable
 // simulator arena per worker. Results are seed-ordered.
-func RunMany(seeds []uint64, workers int) ([]Result, error) {
-	return DefaultHarness().RunMany(seeds, workers)
-}
-
-// RunMany is the harness-bound corpus runner; see the package-level
-// RunMany.
 func (h *Harness) RunMany(seeds []uint64, workers int) ([]Result, error) {
 	return parsweep.MapArena(parsweep.Options{Workers: workers}, len(seeds),
 		func() *cpu.Arena { return new(cpu.Arena) },
 		func(a *cpu.Arena, i int) (Result, error) {
-			return h.RunWith(seeds[i], a)
+			return h.Run(seeds[i], a)
 		})
 }
 
 // RunShapeMany runs every seed through the victim-side harness with
 // the victim shape pinned (RunShape) across workers pool goroutines,
 // one arena per worker. Results are seed-ordered.
-func RunShapeMany(seeds []uint64, workers int, shape Shape) ([]Result, error) {
-	return DefaultHarness().RunShapeMany(seeds, workers, shape)
-}
-
-// RunShapeMany is the harness-bound shape-corpus runner; see the
-// package-level RunShapeMany.
 func (h *Harness) RunShapeMany(seeds []uint64, workers int, shape Shape) ([]Result, error) {
 	return parsweep.MapArena(parsweep.Options{Workers: workers}, len(seeds),
 		func() *cpu.Arena { return new(cpu.Arena) },
 		func(a *cpu.Arena, i int) (Result, error) {
-			return h.RunShapeWith(seeds[i], shape, a)
+			return h.RunShape(seeds[i], shape, a)
 		})
 }
 
 // RunProbeMany runs every seed through the attacker-side harness
 // (RunProbe) across workers pool goroutines, one arena per worker.
 // Results are seed-ordered.
-func RunProbeMany(seeds []uint64, workers int) ([]ProbeResult, error) {
-	return DefaultHarness().RunProbeMany(seeds, workers)
-}
-
-// RunProbeMany is the harness-bound probe-corpus runner; see the
-// package-level RunProbeMany.
 func (h *Harness) RunProbeMany(seeds []uint64, workers int) ([]ProbeResult, error) {
 	return parsweep.MapArena(parsweep.Options{Workers: workers}, len(seeds),
 		func() *cpu.Arena { return new(cpu.Arena) },
 		func(a *cpu.Arena, i int) (ProbeResult, error) {
-			return h.RunProbeWith(seeds[i], a)
+			return h.RunProbe(seeds[i], a)
 		})
 }
 

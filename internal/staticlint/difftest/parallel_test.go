@@ -12,12 +12,13 @@ import (
 // — because every seed builds its own victim and simulator. Run under
 // -race in CI, this also shakes out shared state between seeds.
 func TestRunManyDeterminism(t *testing.T) {
+	h := DefaultHarness()
 	seeds := SeedRange(1, 20)
-	seq, err := RunMany(seeds, 1)
+	seq, err := h.RunMany(seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunMany(seeds, 4)
+	par, err := h.RunMany(seeds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +40,13 @@ func TestRunManyDeterminism(t *testing.T) {
 
 // TestRunProbeManyDeterminism is the receiver-model half of the gate.
 func TestRunProbeManyDeterminism(t *testing.T) {
+	h := DefaultHarness()
 	seeds := SeedRange(1, 20)
-	seq, err := RunProbeMany(seeds, 1)
+	seq, err := h.RunProbeMany(seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunProbeMany(seeds, 4)
+	par, err := h.RunProbeMany(seeds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

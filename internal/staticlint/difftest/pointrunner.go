@@ -1,38 +1,47 @@
 package difftest
 
-// pointrunner.go measures one victim repeatedly without re-paying core
-// construction or predictor training on every call. The classic
-// entry points (MeasureDirectionWith, MeasureSwitches) build a fresh
-// core per call and re-run the training prefix every time — correct,
-// but most of the work is identical across calls. A PointRunner builds
-// the core once, snapshots it immediately after program load (the
-// pristine checkpoint), and snapshots it again after each direction's
-// training runs settle the predictors and fill the micro-op cache (the
-// per-direction trained checkpoints). Repeat measurements restore the
-// trained checkpoint and pay only the two timed runs.
+// pointrunner.go is the harness's one way to get a clean, trained
+// core. A PointRunner builds the core once per program, snapshots it
+// immediately after load (the pristine checkpoint), and snapshots it
+// again after each direction's training runs settle the predictors
+// and fill the micro-op cache (the per-direction trained checkpoints).
+// Both sides of the harness fork from those checkpoints: the victim
+// side (Measure) times a warm and a flushed cold run on the trained
+// core, and the attacker side (RunProbe) runs the prime+probe protocol
+// on it. Repeat measurements restore the trained checkpoint and pay
+// only the timed runs.
 //
 // Equivalence is exact, not approximate: restoring the pristine
 // checkpoint reproduces a fresh core bit for bit (cycle clock zero,
-// counters zero, cold caches, loaded image), so a PointRunner's first
-// Measure per direction replays MeasureDirectionWith's sequence
-// exactly, and every later Measure replays the first one's timed tail
-// from the identical trained state. TestPointRunnerMatchesMeasure pins
-// this against the classic entry points across the corpus.
+// counters zero, cold caches, loaded image), so every direction
+// replays the fresh-core run sequence exactly, and every repeat
+// Measure replays the first one's timed tail from the identical
+// trained state. TestPointRunnerMatchesMeasure and FuzzPointRunner pin
+// this against a fresh-core replay.
 
 import (
 	"fmt"
 
+	"deaduops/internal/asm"
 	"deaduops/internal/cpu"
 	"deaduops/internal/perfctr"
 )
 
 // Point bundles everything one (victim, secret) measurement produces:
-// the refill delta MeasureDirectionWith returns, the warm/cold
-// DSB→MITE switch counts MeasureSwitches returns, and the fast-path
-// audit counters (skipped vs total cycles over the two timed runs) the
-// checkpoint benchmarks report.
+// the refill delta, the warm/cold DSB→MITE switch counts, and the
+// fast-path audit counters (skipped vs total cycles over the two timed
+// runs) the checkpoint benchmarks report.
 type Point struct {
-	Delta        int
+	// Delta is the cold run's cycles minus the warm run's: the
+	// DSB-refill cost of the executed path. Branch predictors and data
+	// caches stay warm throughout, so no misprediction or
+	// memory-latency noise enters it.
+	Delta int
+	// WarmSwitches and ColdSwitches are the DSB→MITE switch counts of
+	// the warm and cold runs — the per-run transition counts the
+	// quantifier predicts as WarmSwitchPoints/ColdSwitchPoints. They
+	// are exact counter reads, so the validation contract for them is
+	// equality, not a tolerance band.
 	WarmSwitches int
 	ColdSwitches int
 	// SkippedCycles and TotalCycles aggregate the warm and cold timed
@@ -49,7 +58,6 @@ type Point struct {
 // same arena recycles the previous one's checkpoint buffers (the
 // parsweep pattern: one point in flight per worker).
 type PointRunner struct {
-	h        *Harness
 	v        *Victim
 	c        *cpu.CPU
 	arena    *cpu.Arena
@@ -63,10 +71,17 @@ type PointRunner struct {
 // and takes the pristine checkpoint: program loaded, secret not yet
 // written, nothing run.
 func (h *Harness) NewPointRunner(v *Victim, a *cpu.Arena) *PointRunner {
+	return h.newPointRunner(v, v.Prog, a)
+}
+
+// newPointRunner is NewPointRunner loading prog — v's program, or a
+// superset of it such as the victim merged with a probe receiver —
+// instead of v.Prog.
+func (h *Harness) newPointRunner(v *Victim, prog *asm.Program, a *cpu.Arena) *PointRunner {
 	c := cpu.NewWith(h.cpuCfg, a)
-	c.LoadProgram(v.Prog)
+	c.LoadProgram(prog)
 	r := &PointRunner{
-		h: h, v: v, c: c, arena: a,
+		v: v, c: c, arena: a,
 		trained: make(map[int64]*cpu.Checkpoint, 2),
 	}
 	r.pristine = r.nextCheckpointBuf()
@@ -80,34 +95,54 @@ func (r *PointRunner) nextCheckpointBuf() *cpu.Checkpoint {
 	return ck
 }
 
-// Measure returns the point for one secret direction. The first call
-// per direction restores the pristine checkpoint, writes the secret,
-// runs the training prefix, and checkpoints the trained core; repeat
-// calls restore the trained checkpoint and pay only the warm and cold
-// timed runs.
-func (r *PointRunner) Measure(secret int64) (Point, error) {
+// run executes the victim once from its entry.
+func (r *PointRunner) run(tag string) (cpu.RunResult, error) {
+	res := r.c.Run(0, r.v.Entry, maxCycles)
+	if res.TimedOut {
+		return res, fmt.Errorf("difftest seed %d: %s run timed out", r.v.Seed, tag)
+	}
+	return res, nil
+}
+
+// train leaves the core trained for secret. The first call per
+// direction restores the pristine checkpoint, writes the secret, runs
+// the victim trainRuns times to settle the predictors and fill the
+// micro-op cache, and checkpoints the trained core; repeat calls
+// restore that checkpoint.
+func (r *PointRunner) train(secret int64) error {
 	if ck := r.trained[secret]; ck != nil {
 		r.c.Restore(ck)
-	} else {
-		r.c.Restore(r.pristine)
-		r.c.Mem().Write(SecretAddr, 1, secret)
-		for i := 0; i < trainRuns; i++ {
-			if res := r.c.Run(0, r.v.Entry, maxCycles); res.TimedOut {
-				return Point{}, fmt.Errorf("difftest seed %d: train run timed out", r.v.Seed)
-			}
-		}
-		ck = r.nextCheckpointBuf()
-		r.c.Checkpoint(ck)
-		r.trained[secret] = ck
+		return nil
 	}
-	warm := r.c.Run(0, r.v.Entry, maxCycles)
-	if warm.TimedOut {
-		return Point{}, fmt.Errorf("difftest seed %d: warm run timed out", r.v.Seed)
+	r.c.Restore(r.pristine)
+	r.c.Mem().Write(SecretAddr, 1, secret)
+	for i := 0; i < trainRuns; i++ {
+		if _, err := r.run("train"); err != nil {
+			return err
+		}
+	}
+	ck := r.nextCheckpointBuf()
+	r.c.Checkpoint(ck)
+	r.trained[secret] = ck
+	return nil
+}
+
+// Measure returns the point for one secret direction: on the trained
+// core, a warm run is timed, the micro-op cache alone is flushed, and
+// a cold run is timed. Only the first call per direction pays the
+// training prefix.
+func (r *PointRunner) Measure(secret int64) (Point, error) {
+	if err := r.train(secret); err != nil {
+		return Point{}, err
+	}
+	warm, err := r.run("warm")
+	if err != nil {
+		return Point{}, err
 	}
 	r.c.FlushUopCache()
-	cold := r.c.Run(0, r.v.Entry, maxCycles)
-	if cold.TimedOut {
-		return Point{}, fmt.Errorf("difftest seed %d: cold run timed out", r.v.Seed)
+	cold, err := r.run("cold")
+	if err != nil {
+		return Point{}, err
 	}
 	return Point{
 		Delta:        int(cold.Cycles) - int(warm.Cycles),

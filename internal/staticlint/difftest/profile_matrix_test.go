@@ -2,7 +2,7 @@ package difftest
 
 // profile_matrix_test.go runs the package's differential contracts
 // under every registered front-end profile, not just the default
-// Skylake model the package-level entry points are frozen to. The
+// Skylake harness the goldens and fuzz corpus are recorded under. The
 // matrix is filtered by the DEADUOPS_PROFILE environment variable
 // (profile.Matrix), which is how CI runs one profile per job. Per
 // profile the expectations fork where the microarchitectures genuinely
@@ -173,6 +173,7 @@ func TestMatrixSwitchCorpus(t *testing.T) {
 							r.Seed, diff, want)
 					}
 				}
+				runner := h.NewPointRunner(v, arena)
 				for _, dir := range []struct {
 					name   string
 					secret int64
@@ -181,10 +182,11 @@ func TestMatrixSwitchCorpus(t *testing.T) {
 					{"taken", 1, pr.TakenCost},
 					{"fall", 0, pr.FallCost},
 				} {
-					warm, cold, err := h.MeasureSwitches(v, dir.secret, arena)
+					pt, err := runner.Measure(dir.secret)
 					if err != nil {
 						t.Fatal(err)
 					}
+					warm, cold := pt.WarmSwitches, pt.ColdSwitches
 					if warm != dir.cost.WarmSwitchPoints || cold != dir.cost.ColdSwitchPoints {
 						t.Errorf("seed %d %s: measured switches warm %d / cold %d, predicted %d / %d",
 							r.Seed, dir.name, warm, cold,
@@ -210,7 +212,7 @@ func TestMatrixProbeCorpus(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			h := NewHarness(p)
 			if !p.HasDSB() {
-				if _, err := h.RunProbeWith(1, nil); err == nil {
+				if _, err := h.RunProbe(1, nil); err == nil {
 					t.Fatal("no-DSB harness accepted a prime+probe run")
 				}
 				return
@@ -316,7 +318,7 @@ func TestMatrixCanonicalGolden(t *testing.T) {
 			h := NewHarness(p)
 			var records []canonicalRecord
 			for _, seed := range canonicalSeeds {
-				r, err := h.RunWith(seed, nil)
+				r, err := h.Run(seed, nil)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}

@@ -41,24 +41,16 @@ type ProbeResult struct {
 
 // RunProbe generates the victim for seed, takes the receiver model's
 // histogram off its divergence finding, and measures the predicted
-// protocol for real: the receiver chain from
-// staticlint.ReceiverSpec is merged into the victim's address space,
-// and each secret direction gets a fresh core, training runs to
-// settle the branch predictors, then one attack.MeasureRounds round
-// with the victim's runs as the sender activity.
-func RunProbe(seed uint64) (ProbeResult, error) { return RunProbeWith(seed, nil) }
-
-// RunProbeWith is RunProbe reusing arena (which may be nil) for each
-// direction's simulated core.
-func RunProbeWith(seed uint64, arena *cpu.Arena) (ProbeResult, error) {
-	return DefaultHarness().RunProbeWith(seed, arena)
-}
-
-// RunProbeWith is the harness-bound attacker-side runner; see the
-// package-level RunProbe. The prime+probe protocol has no meaning
-// without a DSB to contend in, so a no-DSB harness refuses outright —
-// the matrix tests assert that refusal rather than skipping silently.
-func (h *Harness) RunProbeWith(seed uint64, arena *cpu.Arena) (ProbeResult, error) {
+// protocol for real: the receiver chain from staticlint.ReceiverSpec
+// is merged into the victim's address space and loaded on one
+// PointRunner core (guest memory and checkpoints drawn from arena,
+// which may be nil). Each secret direction forks from the pristine
+// checkpoint, trains the branch predictors, then runs one
+// attack.MeasureRounds round with the victim's runs as the sender
+// activity. The prime+probe protocol has no meaning without a DSB to
+// contend in, so a no-DSB harness refuses outright — the matrix tests
+// assert that refusal rather than skipping silently.
+func (h *Harness) RunProbe(seed uint64, arena *cpu.Arena) (ProbeResult, error) {
 	if !h.Profile.HasDSB() {
 		return ProbeResult{}, fmt.Errorf("difftest seed %d: profile %s has no DSB to probe", seed, h.Profile.Name)
 	}
@@ -74,8 +66,7 @@ func (h *Harness) RunProbeWith(seed uint64, arena *cpu.Arena) (ProbeResult, erro
 	if hist == nil {
 		return ProbeResult{}, fmt.Errorf("difftest seed %d: finding carries no probe histogram", seed)
 	}
-	cfg := h.Config()
-	recv, err := attack.Build(staticlint.ReceiverSpec(cfg, p.Finding.DivergentSets))
+	recv, err := attack.Build(staticlint.ReceiverSpec(h.cfg, p.Finding.DivergentSets))
 	if err != nil {
 		return ProbeResult{}, fmt.Errorf("difftest seed %d: %w", seed, err)
 	}
@@ -84,34 +75,23 @@ func (h *Harness) RunProbeWith(seed uint64, arena *cpu.Arena) (ProbeResult, erro
 		return ProbeResult{}, fmt.Errorf("difftest seed %d: merging receiver: %w", seed, err)
 	}
 
+	r := h.newPointRunner(v, merged, arena)
 	measure := func(secret int64) (hit, miss int, err error) {
-		c := cpu.NewWith(h.cpuCfg, arena)
-		c.LoadProgram(merged)
-		c.Mem().Write(SecretAddr, 1, secret)
-		victim := func(tag string) error {
-			res := c.Run(0, v.Entry, maxCycles)
-			if res.TimedOut {
-				return fmt.Errorf("difftest seed %d: %s victim run timed out", seed, tag)
-			}
-			return nil
+		if err := r.train(secret); err != nil {
+			return 0, 0, err
 		}
-		for i := 0; i < trainRuns; i++ {
-			if err := victim("train"); err != nil {
-				return 0, 0, err
-			}
-		}
-		r, err := attack.MeasureRounds(c, recv, func() error {
-			for i := 0; i < cfg.VictimRuns; i++ {
-				if err := victim("send"); err != nil {
+		rounds, err := attack.MeasureRounds(r.c, recv, func() error {
+			for i := 0; i < h.cfg.VictimRuns; i++ {
+				if _, err := r.run("send"); err != nil {
 					return err
 				}
 			}
 			return nil
-		}, int64(cfg.PrimeTraversals), int64(cfg.ProbeIters), 1)
+		}, int64(h.cfg.PrimeTraversals), int64(h.cfg.ProbeIters), 1)
 		if err != nil {
 			return 0, 0, fmt.Errorf("difftest seed %d: %w", seed, err)
 		}
-		return int(r.Hit[0]), int(r.Miss[0]), nil
+		return int(rounds.Hit[0]), int(rounds.Miss[0]), nil
 	}
 
 	ht, mt, err := measure(1)

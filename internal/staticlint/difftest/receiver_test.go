@@ -2,9 +2,16 @@ package difftest
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"deaduops/internal/asm"
+	"deaduops/internal/attack"
+	"deaduops/internal/cpu"
+	"deaduops/internal/parsweep"
+	"deaduops/internal/staticlint"
 )
 
 // TestProbeCorpus holds the receiver model to the acceptance contract
@@ -18,7 +25,7 @@ import (
 func TestProbeCorpus(t *testing.T) {
 	worst := 0.0
 	exact := 0
-	results, err := RunProbeMany(SeedRange(1, corpusSize), 0)
+	results, err := DefaultHarness().RunProbeMany(SeedRange(1, corpusSize), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +78,7 @@ type probeRecord struct {
 func TestProbeGolden(t *testing.T) {
 	var records []probeRecord
 	for _, seed := range canonicalSeeds {
-		r, err := RunProbe(seed)
+		r, err := DefaultHarness().RunProbe(seed, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -120,7 +127,7 @@ func TestProbeGolden(t *testing.T) {
 // direction's miss probe at or above it).
 func TestProbeHistogramConsistency(t *testing.T) {
 	for _, seed := range canonicalSeeds {
-		r, err := RunProbe(seed)
+		r, err := DefaultHarness().RunProbe(seed, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -148,6 +155,101 @@ func TestProbeHistogramConsistency(t *testing.T) {
 	}
 }
 
+// freshCoreProbe replays RunProbe's measurement straight-line with a
+// fresh core per direction — load the merged victim+receiver image,
+// write the secret, train ×trainRuns, one attack.MeasureRounds round —
+// and returns the four measured cycles in ProbeResult order: hit and
+// miss of the taken run, then of the fallthrough run.
+func freshCoreProbe(h *Harness, seed uint64, a *cpu.Arena) ([4]int, error) {
+	var out [4]int
+	v, err := h.Generate(seed)
+	if err != nil {
+		return out, err
+	}
+	p, err := h.Predict(v)
+	if err != nil {
+		return out, err
+	}
+	cfg := h.Config()
+	recv, err := attack.Build(staticlint.ReceiverSpec(cfg, p.Finding.DivergentSets))
+	if err != nil {
+		return out, err
+	}
+	merged, err := asm.Merge(v.Prog, recv.Prog)
+	if err != nil {
+		return out, err
+	}
+	victim := func(c *cpu.CPU) error {
+		if res := c.Run(0, v.Entry, maxCycles); res.TimedOut {
+			return fmt.Errorf("seed %d: victim run timed out", seed)
+		}
+		return nil
+	}
+	for i, secret := range []int64{1, 0} {
+		c := cpu.NewWith(h.CPUConfig(), a)
+		c.LoadProgram(merged)
+		c.Mem().Write(SecretAddr, 1, secret)
+		for k := 0; k < trainRuns; k++ {
+			if err := victim(c); err != nil {
+				return out, err
+			}
+		}
+		r, err := attack.MeasureRounds(c, recv, func() error {
+			for k := 0; k < cfg.VictimRuns; k++ {
+				if err := victim(c); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, int64(cfg.PrimeTraversals), int64(cfg.ProbeIters), 1)
+		if err != nil {
+			return out, err
+		}
+		out[2*i], out[2*i+1] = int(r.Hit[0]), int(r.Miss[0])
+	}
+	return out, nil
+}
+
+// probeExactSeeds bounds the RunProbe exactness corpus per profile.
+const probeExactSeeds = 40
+
+// TestRunProbeMatchesFreshCore pins RunProbe's single checkpointed
+// core to the fresh-core-per-direction protocol cycle for cycle: under
+// every DSB profile, all four measured probe cycles of each seed must
+// equal freshCoreProbe's — a stronger claim than the ±Tolerance
+// contract, over more victims than probe.golden's canonical seeds.
+func TestRunProbeMatchesFreshCore(t *testing.T) {
+	for _, p := range matrixProfiles(t) {
+		if !p.HasDSB() {
+			continue
+		}
+		p := p
+		t.Run(p.Name, func(t *testing.T) {
+			h := NewHarness(p)
+			_, err := parsweep.MapArena(parsweep.Options{}, probeExactSeeds,
+				func() *cpu.Arena { return new(cpu.Arena) },
+				func(a *cpu.Arena, i int) (struct{}, error) {
+					seed := uint64(i + 1)
+					want, err := freshCoreProbe(h, seed, a)
+					if err != nil {
+						return struct{}{}, err
+					}
+					r, err := h.RunProbe(seed, a)
+					if err != nil {
+						return struct{}{}, err
+					}
+					if got := [4]int{r.MeasHitTaken, r.MeasTaken, r.MeasHitFall, r.MeasFall}; got != want {
+						return struct{}{}, fmt.Errorf("seed %d: RunProbe measured %v, fresh-core replay %v", seed, got, want)
+					}
+					return struct{}{}, nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // FuzzProbeModel throws random seeds at the generator and holds the
 // receiver model's probe predictions to the acceptance contract. The
 // committed seeds mirror the refill-delta fuzz anchors: one victim per
@@ -159,7 +261,7 @@ func FuzzProbeModel(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		r, err := RunProbe(seed)
+		r, err := DefaultHarness().RunProbe(seed, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -1,4 +1,9 @@
-package gadget
+package staticlint
+
+// gadget_test.go pins ScanGadgets' transient-window census: the
+// µop-cache and Spectre-v1 gadget classes it must find, the taint
+// kills (overwrites, zeroing idioms, RDTSC) that must silence it, and
+// the class-prevalence ordering of the paper's §VI-A census.
 
 import (
 	"testing"
@@ -8,6 +13,16 @@ import (
 	"deaduops/internal/ref"
 	"deaduops/internal/victim"
 )
+
+// countGadgets scans p under the default configuration and tallies
+// the hits by class.
+func countGadgets(p *asm.Program) map[GadgetKind]int {
+	c := map[GadgetKind]int{}
+	for _, h := range ScanGadgets(p, DefaultConfig()) {
+		c[h.Kind]++
+	}
+	return c
+}
 
 func TestFindsUopCacheGadgetInVictim(t *testing.T) {
 	// The Listing 4 victim alone is NOT a µop-cache gadget (no
@@ -20,10 +35,9 @@ func TestFindsUopCacheGadgetInVictim(t *testing.T) {
 	b.Ret()
 	p := b.MustBuild()
 
-	found := Scan(p)
-	c := Count(found)
-	if c.UopCache == 0 {
-		t.Fatalf("scanner missed the pci_vpd-style gadget: %v", found)
+	found := ScanGadgets(p, DefaultConfig())
+	if countGadgets(p)[GadgetUopCache] == 0 {
+		t.Fatalf("scanner missed the pci_vpd-style gadget: %+v", found)
 	}
 }
 
@@ -38,8 +52,8 @@ func TestFindsSpectreV1DoubleLoad(t *testing.T) {
 	b.Halt()
 	p := b.MustBuild()
 
-	c := Count(Scan(p))
-	if c.SpectreV1 == 0 {
+	c := countGadgets(p)
+	if c[GadgetSpectreV1] == 0 {
 		t.Error("scanner missed the double-load gadget")
 	}
 }
@@ -53,8 +67,8 @@ func TestFindsIndirectBranchSink(t *testing.T) {
 	b.Label("out")
 	b.Halt()
 	p := b.MustBuild()
-	c := Count(Scan(p))
-	if c.UopCache == 0 {
+	c := countGadgets(p)
+	if c[GadgetUopCache] == 0 {
 		t.Error("scanner missed the indirect-branch sink")
 	}
 }
@@ -70,8 +84,8 @@ func TestNoFalsePositiveWithoutDependence(t *testing.T) {
 	b.Label("out")
 	b.Halt()
 	p := b.MustBuild()
-	c := Count(Scan(p))
-	if c.UopCache != 0 || c.SpectreV1 != 0 {
+	c := countGadgets(p)
+	if c[GadgetUopCache] != 0 || c[GadgetSpectreV1] != 0 {
 		t.Errorf("false positives: %+v", c)
 	}
 }
@@ -86,7 +100,7 @@ func TestMoviClearsTaint(t *testing.T) {
 	b.Jcc(isa.NE, "out")
 	b.Label("out")
 	b.Halt()
-	if c := Count(Scan(b.MustBuild())); c.UopCache != 0 {
+	if c := countGadgets(b.MustBuild()); c[GadgetUopCache] != 0 {
 		t.Errorf("taint survived an overwrite: %+v", c)
 	}
 }
@@ -106,7 +120,7 @@ func TestZeroIdiomKillsTaint(t *testing.T) {
 	b.Jcc(isa.NE, "out")
 	b.Label("out")
 	b.Halt()
-	if c := Count(Scan(b.MustBuild())); c.UopCache != 0 {
+	if c := countGadgets(b.MustBuild()); c[GadgetUopCache] != 0 {
 		t.Errorf("taint survived xor-self overwrite: %+v", c)
 	}
 }
@@ -121,7 +135,7 @@ func TestSubSelfKillsTaint(t *testing.T) {
 	b.Loadb(isa.R3, isa.R2, 0x8000) // address is the constant 0x8000
 	b.Label("out")
 	b.Halt()
-	if c := Count(Scan(b.MustBuild())); c.SpectreV1 != 0 {
+	if c := countGadgets(b.MustBuild()); c[GadgetSpectreV1] != 0 {
 		t.Errorf("taint survived sub-self overwrite: %+v", c)
 	}
 }
@@ -139,7 +153,7 @@ func TestRdtscOverwriteKillsTaint(t *testing.T) {
 	b.Jcc(isa.NE, "out")
 	b.Label("out")
 	b.Halt()
-	if c := Count(Scan(b.MustBuild())); c.UopCache != 0 {
+	if c := countGadgets(b.MustBuild()); c[GadgetUopCache] != 0 {
 		t.Errorf("taint survived rdtsc overwrite: %+v", c)
 	}
 }
@@ -161,15 +175,15 @@ func TestTaintThroughResolvedMemory(t *testing.T) {
 	b.Jcc(isa.NE, "out")
 	b.Label("out")
 	b.Halt()
-	found := Scan(b.MustBuild())
+	found := ScanGadgets(b.MustBuild(), DefaultConfig())
 	ok := false
 	for _, f := range found {
-		if f.Kind == UopCacheGadget && f.Load == loadAddr {
+		if f.Kind == GadgetUopCache && f.Load == loadAddr {
 			ok = true
 		}
 	}
 	if !ok {
-		t.Errorf("taint lost through memory spill/reload: %v", found)
+		t.Errorf("taint lost through memory spill/reload: %+v", found)
 	}
 }
 
@@ -184,7 +198,7 @@ func TestTaintFlowsThroughALU(t *testing.T) {
 	b.Jcc(isa.NE, "out")
 	b.Label("out")
 	b.Halt()
-	if c := Count(Scan(b.MustBuild())); c.UopCache == 0 {
+	if c := countGadgets(b.MustBuild()); c[GadgetUopCache] == 0 {
 		t.Error("taint lost through mov+alu chain")
 	}
 }
@@ -196,12 +210,12 @@ func TestCensusOnIdiomaticCorpus(t *testing.T) {
 	// to satisfy than the classic double-load, so it dominates —
 	// the paper counts 100 vs 19 in torvalds/linux.
 	p := buildIdiomaticCorpus(t)
-	c := Count(Scan(p))
-	t.Logf("corpus census: µop-cache %d, spectre-v1 %d", c.UopCache, c.SpectreV1)
-	if c.UopCache <= c.SpectreV1 {
-		t.Errorf("census inverted: uop-cache %d ≤ spectre-v1 %d", c.UopCache, c.SpectreV1)
+	c := countGadgets(p)
+	t.Logf("corpus census: µop-cache %d, spectre-v1 %d", c[GadgetUopCache], c[GadgetSpectreV1])
+	if c[GadgetUopCache] <= c[GadgetSpectreV1] {
+		t.Errorf("census inverted: uop-cache %d ≤ spectre-v1 %d", c[GadgetUopCache], c[GadgetSpectreV1])
 	}
-	if c.UopCache < 4 || c.SpectreV1 < 1 {
+	if c[GadgetUopCache] < 4 || c[GadgetSpectreV1] < 1 {
 		t.Errorf("corpus counts too low: %+v", c)
 	}
 }
@@ -298,6 +312,6 @@ func TestScanRandomProgramsSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		Scan(p)
+		ScanGadgets(p, DefaultConfig())
 	}
 }
