@@ -4,7 +4,7 @@ GO ?= go
 # for a real fuzzing session (e.g. make fuzz FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint serve fuzz check bench-json bench-diff
+.PHONY: build test race vet lint serve fuzz check bench-json bench-diff figures-digest
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,19 @@ bench-diff:
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -benchmem . \
 		| $(GO) run ./cmd/benchjson > bench-new.json
 	$(GO) run ./cmd/benchjson -diff -allow '$(BENCHALLOW)' $(BENCHBASE) bench-new.json
+
+# figures-digest regenerates every figure and table at seed 1 through
+# perfbench and fails unless each one's digest matches the stored
+# perfbench/testdata/expected.json. perfbench reports the comparison as
+# "correct" in its JSON line but exits 0 either way, so the gate reads
+# the field.
+figures-digest:
+	@out=$$(bash perfbench/run.sh --workload figures --seed 1 --seconds 1 --trace 0) || exit 1; \
+	echo "$$out"; \
+	case "$$out" in \
+	*'"correct":true'*) ;; \
+	*) echo "figures-digest: a figure or table no longer matches its stored digest"; exit 1 ;; \
+	esac
 
 # fuzz runs every native fuzz target for FUZZTIME each: the assembler
 # and legacy-decode invariants, the indirect-target resolution

@@ -12,6 +12,7 @@
 package attack
 
 import (
+	"errors"
 	"fmt"
 
 	"deaduops/internal/asm"
@@ -195,39 +196,58 @@ type Rounds struct {
 	ProbeIters int64
 }
 
-// MeasureRounds runs the calibration protocol and returns the raw
-// per-round timings. Each round measures a hit (prime, then probe with
-// nothing in between) and a miss (prime, sender activity, probe). The
-// receiver primes with primeIters traversals — enough to reclaim its
-// sets from a hot opponent under the hotness replacement policy — and
-// probes with probeIters (few, so a misowned set cannot be reclaimed
-// mid-measurement).
-func MeasureRounds(c *cpu.CPU, receiver *Routine, send SendFunc, primeIters, probeIters int64, rounds int) (Rounds, error) {
+// MeasurePairs is the one calibration loop every receiver shares. It
+// runs warmup (hit, miss) pairs whose timings are discarded — cold
+// compulsory misses and untrained predictors would otherwise poison
+// the threshold — then rounds recorded pairs, hit first in each pair.
+// hit and miss each return one probe time in cycles over probeIters
+// traversals. The first error stops the loop; rounds < 1 is an error
+// and runs nothing, since no threshold reduces from empty rounds.
+func MeasurePairs(warmup, rounds int, probeIters int64, hit, miss func() (uint64, error)) (Rounds, error) {
 	r := Rounds{ProbeIters: probeIters}
-	for i := 0; i < rounds; i++ {
-		// Hit: prime then probe, nothing in between.
-		if _, err := receiver.Run(c, 0, primeIters); err != nil {
-			return r, err
-		}
-		hc, err := receiver.Run(c, 0, probeIters)
+	if rounds < 1 {
+		return r, fmt.Errorf("attack: %d calibration rounds, need at least 1", rounds)
+	}
+	for i := 0; i < warmup+rounds; i++ {
+		hc, err := hit()
 		if err != nil {
 			return r, err
 		}
-		r.Hit = append(r.Hit, float64(hc))
-		// Miss: prime, let the sender evict, probe.
-		if _, err := receiver.Run(c, 0, primeIters); err != nil {
-			return r, err
-		}
-		if err := send(); err != nil {
-			return r, err
-		}
-		mc, err := receiver.Run(c, 0, probeIters)
+		mc, err := miss()
 		if err != nil {
 			return r, err
 		}
-		r.Miss = append(r.Miss, float64(mc))
+		if i >= warmup {
+			r.Hit = append(r.Hit, float64(hc))
+			r.Miss = append(r.Miss, float64(mc))
+		}
 	}
 	return r, nil
+}
+
+// MeasureRounds runs the prime+probe calibration protocol through
+// MeasurePairs and returns the raw per-round timings. Each round
+// measures a hit (prime, then probe with nothing in between) and a
+// miss (prime, sender activity, probe). The receiver primes with
+// primeIters traversals — enough to reclaim its sets from a hot
+// opponent under the hotness replacement policy — and probes with
+// probeIters (few, so a misowned set cannot be reclaimed
+// mid-measurement).
+func MeasureRounds(c *cpu.CPU, receiver *Routine, send SendFunc, primeIters, probeIters int64, rounds int) (Rounds, error) {
+	return MeasurePairs(0, rounds, probeIters, func() (uint64, error) {
+		if _, err := receiver.Run(c, 0, primeIters); err != nil {
+			return 0, err
+		}
+		return receiver.Run(c, 0, probeIters)
+	}, func() (uint64, error) {
+		if _, err := receiver.Run(c, 0, primeIters); err != nil {
+			return 0, err
+		}
+		if err := send(); err != nil {
+			return 0, err
+		}
+		return receiver.Run(c, 0, probeIters)
+	})
 }
 
 func meanMinMax(v []float64) (mean, min, max float64) {
@@ -250,8 +270,10 @@ func meanMinMax(v []float64) (mean, min, max float64) {
 // not overlap it is clamped into the gap between HitMax and MissMin,
 // so a single outlier round (one anomalously slow miss, say) cannot
 // drag the cut past the rest of its cluster — the failure mode of
-// reducing rounds to running sums alone. Rounds must be non-empty on
-// both sides.
+// reducing rounds to running sums alone. It is the one reduction every
+// calibrating receiver applies; each then judges the result by its own
+// acceptance rule. Rounds must be non-empty on both sides, as
+// MeasurePairs guarantees.
 func (r Rounds) Stats() Threshold {
 	th := Threshold{ProbeIters: r.ProbeIters}
 	th.HitMean, th.HitMin, th.HitMax = meanMinMax(r.Hit)
@@ -270,10 +292,16 @@ func (th Threshold) Spread() string {
 		th.HitMean, th.HitMin, th.HitMax, th.MissMean, th.MissMin, th.MissMax, th.ProbeIters)
 }
 
+// ErrNoSignal marks a calibration whose hit and miss timings do not
+// separate: the channel cannot decode bits in that configuration.
+// Callers sweeping configurations test for it with errors.Is to tell a
+// signal-less point from a real failure.
+var ErrNoSignal = errors.New("attack: no timing signal")
+
 // Threshold reduces the raw rounds to a decision threshold (see
-// Stats). It returns an error — carrying both distributions' spreads,
-// not just the means — when the separation is below SeparationFloor or
-// the distributions overlap.
+// Stats). It returns an error wrapping ErrNoSignal — carrying both
+// distributions' spreads, not just the means — when the separation is
+// below SeparationFloor or the distributions overlap.
 func (r Rounds) Threshold() (Threshold, error) {
 	th := Threshold{ProbeIters: r.ProbeIters}
 	if len(r.Hit) == 0 || len(r.Miss) == 0 {
@@ -282,10 +310,10 @@ func (r Rounds) Threshold() (Threshold, error) {
 	th = r.Stats()
 	// Demand meaningful separation, not just a few cycles of noise.
 	if th.MissMean <= th.HitMean*SeparationFloor {
-		return th, fmt.Errorf("attack: no timing signal (%s)", th.Spread())
+		return th, fmt.Errorf("%w (%s)", ErrNoSignal, th.Spread())
 	}
 	if th.MissMin <= th.HitMax {
-		return th, fmt.Errorf("attack: hit/miss distributions overlap (%s)", th.Spread())
+		return th, fmt.Errorf("%w: hit/miss distributions overlap (%s)", ErrNoSignal, th.Spread())
 	}
 	return th, nil
 }

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -346,5 +347,88 @@ func TestCheckpointedProbeEquals(t *testing.T) {
 		if _, err := send.Run(c, 0, primeIters); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestMeasurePairs pins the calibration loop's contract with fake
+// probes, no simulator: warm-up pairs run but are not recorded, the
+// hit runs before the miss in every pair, the first error stops the
+// loop, and fewer than one round runs nothing.
+func TestMeasurePairs(t *testing.T) {
+	var calls []string
+	n := uint64(0)
+	probe := func(side string) func() (uint64, error) {
+		return func() (uint64, error) {
+			calls = append(calls, side)
+			n++
+			return n, nil
+		}
+	}
+	r, err := MeasurePairs(2, 3, 7, probe("hit"), probe("miss"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, side := range calls {
+		if want := []string{"hit", "miss"}[i%2]; side != want {
+			t.Fatalf("call %d ran %s, want %s (order %v)", i, side, want, calls)
+		}
+	}
+	if len(calls) != 10 {
+		t.Fatalf("%d probe calls, want 10 (2 warm-up + 3 recorded pairs)", len(calls))
+	}
+	// Calls 1-4 are the warm-up pairs; 5-10 the recorded ones.
+	wantHit, wantMiss := []float64{5, 7, 9}, []float64{6, 8, 10}
+	for i := range wantHit {
+		if r.Hit[i] != wantHit[i] || r.Miss[i] != wantMiss[i] {
+			t.Fatalf("recorded hit %v miss %v, want %v %v", r.Hit, r.Miss, wantHit, wantMiss)
+		}
+	}
+	if len(r.Hit) != 3 || len(r.Miss) != 3 || r.ProbeIters != 7 {
+		t.Errorf("rounds %+v, want 3 recorded pairs over 7 traversals", r)
+	}
+
+	boom := errors.New("probe failed")
+	calls = nil
+	failing := func() (uint64, error) {
+		calls = append(calls, "miss")
+		if len(calls) == 4 {
+			return 0, boom
+		}
+		return 1, nil
+	}
+	if _, err := MeasurePairs(1, 5, 1, probe("hit"), failing); !errors.Is(err, boom) {
+		t.Errorf("error %v, want the failing probe's", err)
+	}
+	if len(calls) != 4 {
+		t.Errorf("%d calls after the failure, want the loop stopped at 4: %v", len(calls), calls)
+	}
+
+	for _, rounds := range []int{0, -1} {
+		calls = nil
+		if _, err := MeasurePairs(2, rounds, 1, probe("hit"), probe("miss")); err == nil {
+			t.Errorf("rounds=%d accepted", rounds)
+		}
+		if len(calls) != 0 {
+			t.Errorf("rounds=%d ran %d probes, want none", rounds, len(calls))
+		}
+	}
+}
+
+// TestThresholdErrNoSignal asserts both judgement failures wrap
+// ErrNoSignal — the sub-floor separation and the overlapping
+// distributions — so a sweep can tell a signal-less configuration from
+// a real failure, and an empty calibration does not.
+func TestThresholdErrNoSignal(t *testing.T) {
+	cases := map[string]Rounds{
+		"below floor": {Hit: []float64{100, 100}, Miss: []float64{110, 112}, ProbeIters: 5},
+		"overlapping": {Hit: []float64{100, 300}, Miss: []float64{290, 400}, ProbeIters: 5},
+	}
+	for name, r := range cases {
+		if _, err := r.Threshold(); !errors.Is(err, ErrNoSignal) {
+			t.Errorf("%s: error %v does not wrap ErrNoSignal", name, err)
+		}
+	}
+	if _, err := (Rounds{}).Threshold(); err == nil || errors.Is(err, ErrNoSignal) {
+		t.Errorf("empty rounds: error %v, want a non-ErrNoSignal error", err)
 	}
 }

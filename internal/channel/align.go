@@ -70,18 +70,11 @@ func NewAlignment(c *cpu.CPU, cfg Config) (*Alignment, error) {
 			return nil, err
 		}
 	}
-	rounds := attack.Rounds{ProbeIters: cfg.ProbeIters}
-	for i := 0; i < cfg.CalibrationRounds; i++ {
-		hc, err := aligned.Run(c, 0, cfg.ProbeIters)
-		if err != nil {
-			return nil, err
-		}
-		mc, err := straddle.Run(c, 0, cfg.ProbeIters)
-		if err != nil {
-			return nil, err
-		}
-		rounds.Hit = append(rounds.Hit, float64(hc))
-		rounds.Miss = append(rounds.Miss, float64(mc))
+	rounds, err := attack.MeasurePairs(0, cfg.CalibrationRounds, cfg.ProbeIters,
+		func() (uint64, error) { return aligned.Run(c, 0, cfg.ProbeIters) },
+		func() (uint64, error) { return straddle.Run(c, 0, cfg.ProbeIters) })
+	if err != nil {
+		return nil, err
 	}
 	ch.th = rounds.Stats()
 	if ch.th.MissMin <= ch.th.HitMax {

@@ -219,3 +219,31 @@ func TestMultiSymbolRejectsBadBits(t *testing.T) {
 		t.Error("bits=3 accepted (bytes would not divide)")
 	}
 }
+
+// zeroRoundConfig is the default channel with CalibrationRounds = 0.
+// The zero-round regressions below cover the constructors that reduced
+// empty rounds: each must return an error, not panic indexing an empty
+// distribution.
+func zeroRoundConfig() Config {
+	cfg := DefaultConfig()
+	cfg.CalibrationRounds = 0
+	return cfg
+}
+
+func TestCrossSMTZeroCalibrationRounds(t *testing.T) {
+	if _, err := NewCrossSMT(cpu.New(cpu.AMD()), zeroRoundConfig()); err == nil {
+		t.Error("zero calibration rounds accepted")
+	}
+}
+
+func TestUserKernelZeroCalibrationRounds(t *testing.T) {
+	if _, err := NewUserKernel(cpu.New(cpu.Intel()), zeroRoundConfig()); err == nil {
+		t.Error("zero calibration rounds accepted")
+	}
+}
+
+func TestAlignmentZeroCalibrationRounds(t *testing.T) {
+	if _, err := NewAlignment(cpu.New(cpu.Intel()), zeroRoundConfig()); err == nil {
+		t.Error("zero calibration rounds accepted")
+	}
+}

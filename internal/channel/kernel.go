@@ -78,21 +78,17 @@ func NewUserKernel(c *cpu.CPU, cfg Config) (*UserKernel, error) {
 		SecretBase:   ukSecretBase,
 	}
 
-	// Calibrate with known secret bits.
-	rounds := attack.Rounds{ProbeIters: cfg.ProbeIters}
-	for i := 0; i < cfg.CalibrationRounds; i++ {
+	// Calibrate with known secret bits: a zero bit leaves the spy's
+	// tiger intact (hit), a one bit runs the kernel tiger (miss).
+	rounds, err := attack.MeasurePairs(0, cfg.CalibrationRounds, cfg.ProbeIters, func() (uint64, error) {
 		ch.WriteSecret([]byte{0x00})
-		z, err := ch.leakBit(0)
-		if err != nil {
-			return nil, err
-		}
-		rounds.Hit = append(rounds.Hit, float64(z))
+		return ch.leakBit(0)
+	}, func() (uint64, error) {
 		ch.WriteSecret([]byte{0xFF})
-		o, err := ch.leakBit(0)
-		if err != nil {
-			return nil, err
-		}
-		rounds.Miss = append(rounds.Miss, float64(o))
+		return ch.leakBit(0)
+	})
+	if err != nil {
+		return nil, err
 	}
 	// The syscall trampoline adds constant overhead to both sides, so
 	// the ratio floor does not transfer; accept any positive separation

@@ -80,29 +80,13 @@ func NewCrossSMT(c *cpu.CPU, cfg Config) (*CrossSMT, error) {
 		zeroEntry: pause.Entry,
 	}
 
-	// Warm-up windows: the first SMT window pays all the cold compulsory
-	// misses and would poison the threshold.
-	for i := 0; i < 2; i++ {
-		if _, err := ch.round(false); err != nil {
-			return nil, err
-		}
-		if _, err := ch.round(true); err != nil {
-			return nil, err
-		}
-	}
-
-	rounds := attack.Rounds{ProbeIters: cfg.ProbeIters}
-	for i := 0; i < cfg.CalibrationRounds; i++ {
-		z, err := ch.round(false)
-		if err != nil {
-			return nil, err
-		}
-		rounds.Hit = append(rounds.Hit, float64(z))
-		o, err := ch.round(true)
-		if err != nil {
-			return nil, err
-		}
-		rounds.Miss = append(rounds.Miss, float64(o))
+	// Two warm-up window pairs: the first SMT window pays all the cold
+	// compulsory misses and would poison the threshold.
+	rounds, err := attack.MeasurePairs(2, cfg.CalibrationRounds, cfg.ProbeIters,
+		func() (uint64, error) { return ch.round(false) },
+		func() (uint64, error) { return ch.round(true) })
+	if err != nil {
+		return nil, err
 	}
 	// The competitively shared cache gives a weaker contrast than the
 	// same-thread channel, so accept any positive separation instead of

@@ -5,7 +5,6 @@ import (
 
 	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
-	"deaduops/internal/isa"
 	"deaduops/internal/perfctr"
 )
 
@@ -73,18 +72,11 @@ func capacityKnee(cfg cpu.Config, o Options, a *cpu.Arena) (int, error) {
 		}
 		c := cpu.NewWith(cfg, a)
 		c.LoadProgram(prog)
-		c.SetReg(0, isa.R14, int64(o.Warmup))
-		if r := c.Run(0, prog.Entry, maxRunCycle); r.TimedOut {
-			return 0, fmt.Errorf("warmup timed out at %d regions", n)
+		res, err := steadyState(c, prog.Entry, o, fmt.Sprintf("%d regions", n))
+		if err != nil {
+			return 0, err
 		}
-		before := c.Counters(0).Snapshot()
-		c.SetReg(0, isa.R14, int64(o.Iterations))
-		res := c.Run(0, prog.Entry, maxRunCycle)
-		if res.TimedOut {
-			return 0, fmt.Errorf("run timed out at %d regions", n)
-		}
-		mite := float64(c.Counters(0).Snapshot().Delta(before).Get(perfctr.MITEUops)) /
-			float64(o.Iterations)
+		mite := float64(res.Counters.Get(perfctr.MITEUops)) / float64(o.Iterations)
 		if mite > 10 {
 			return n, nil
 		}

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"deaduops/internal/cpu"
+	"deaduops/internal/isa"
 	"deaduops/internal/parsweep"
 )
 
@@ -170,6 +171,45 @@ func (o Options) withDefaults(iter, warm, samples int) Options {
 		o.Seed = 0x5eed
 	}
 	return o
+}
+
+// steadyState is the one steady-state measurement of the §III
+// characterization: o.Warmup iterations of the loop at entry on thread
+// 0 (loop count in R14) fill the micro-op cache and train the
+// predictors, then o.Iterations measured iterations run. It returns
+// the measured run, whose Counters are that run's deltas alone; what
+// names the point in timeout errors.
+func steadyState(c *cpu.CPU, entry uint64, o Options, what string) (cpu.RunResult, error) {
+	c.SetReg(0, isa.R14, int64(o.Warmup))
+	if r := c.Run(0, entry, maxRunCycle); r.TimedOut {
+		return r, fmt.Errorf("%s warmup timed out", what)
+	}
+	c.SetReg(0, isa.R14, int64(o.Iterations))
+	res := c.Run(0, entry, maxRunCycle)
+	if res.TimedOut {
+		return res, fmt.Errorf("%s run timed out", what)
+	}
+	return res, nil
+}
+
+// steadyStateSMT is steadyState with a co-runner: thread 1 runs the
+// loop at sibling for the whole of each thread-0 window (its R14 set
+// far beyond any window; the run ends when thread 0 halts). It returns
+// both threads' measured runs.
+func steadyStateSMT(c *cpu.CPU, entry, sibling uint64, o Options, what string) ([cpu.NumThreads]cpu.RunResult, error) {
+	run := func(iters int, phase string) ([cpu.NumThreads]cpu.RunResult, error) {
+		c.SetReg(0, isa.R14, int64(iters))
+		c.SetReg(1, isa.R14, 1<<40)
+		res := c.RunSMTPrimary(entry, sibling, maxRunCycle)
+		if res[0].TimedOut {
+			return res, fmt.Errorf("%s %s timed out", what, phase)
+		}
+		return res, nil
+	}
+	if res, err := run(o.Warmup, "warmup"); err != nil {
+		return res, err
+	}
+	return run(o.Iterations, "run")
 }
 
 // Renderable is anything an experiment can produce.

@@ -5,7 +5,6 @@ import (
 
 	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
-	"deaduops/internal/isa"
 	"deaduops/internal/perfctr"
 )
 
@@ -55,15 +54,9 @@ func fig3aPoint(regions int, o Options, a *cpu.Arena) (float64, error) {
 	}
 	c := cpu.NewWith(cpu.Intel(), a)
 	c.LoadProgram(prog)
-	// Warmup traversals fill the cache to steady state.
-	c.SetReg(0, isa.R14, int64(o.Warmup))
-	if r := c.Run(0, prog.Entry, maxRunCycle); r.TimedOut {
-		return 0, fmt.Errorf("fig3a warmup timed out at %d regions", regions)
-	}
-	c.SetReg(0, isa.R14, int64(o.Iterations))
-	res := c.Run(0, prog.Entry, maxRunCycle)
-	if res.TimedOut {
-		return 0, fmt.Errorf("fig3a run timed out at %d regions", regions)
+	res, err := steadyState(c, prog.Entry, o, fmt.Sprintf("fig3a at %d regions", regions))
+	if err != nil {
+		return 0, err
 	}
 	return float64(res.Counters.Get(perfctr.MITEUops)) / float64(o.Iterations), nil
 }
@@ -108,14 +101,9 @@ func chainMITEPerIteration(spec *codegen.ChainSpec, o Options, a *cpu.Arena) (fl
 	}
 	c := cpu.NewWith(cpu.Intel(), a)
 	c.LoadProgram(prog)
-	c.SetReg(0, isa.R14, int64(o.Warmup))
-	if r := c.Run(0, prog.Entry, maxRunCycle); r.TimedOut {
-		return 0, fmt.Errorf("chain warmup timed out")
-	}
-	c.SetReg(0, isa.R14, int64(o.Iterations))
-	res := c.Run(0, prog.Entry, maxRunCycle)
-	if res.TimedOut {
-		return 0, fmt.Errorf("chain run timed out")
+	res, err := steadyState(c, prog.Entry, o, "chain")
+	if err != nil {
+		return 0, err
 	}
 	return float64(res.Counters.Get(perfctr.MITEUops)) / float64(o.Iterations), nil
 }

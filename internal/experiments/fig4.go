@@ -5,7 +5,6 @@ import (
 
 	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
-	"deaduops/internal/isa"
 	"deaduops/internal/perfctr"
 )
 
@@ -68,22 +67,15 @@ func fig4Point(regions, uops int, o Options, a *cpu.Arena) (float64, error) {
 	}
 	c := cpu.NewWith(cpu.Intel(), a)
 	c.LoadProgram(prog)
-	c.SetReg(0, isa.R14, int64(o.Warmup))
-	if r := c.Run(0, prog.Entry, maxRunCycle); r.TimedOut {
-		return 0, fmt.Errorf("fig4 warmup timed out (%d regions × %d µops)", regions, uops)
+	res, err := steadyState(c, prog.Entry, o, fmt.Sprintf("fig4 (%d regions × %d µops)", regions, uops))
+	if err != nil {
+		return 0, err
 	}
-	before := c.Counters(0).Snapshot()
-	c.SetReg(0, isa.R14, int64(o.Iterations))
-	res := c.Run(0, prog.Entry, maxRunCycle)
-	if res.TimedOut {
-		return 0, fmt.Errorf("fig4 run timed out (%d regions × %d µops)", regions, uops)
-	}
-	delta := c.Counters(0).Snapshot().Delta(before)
 	// Subtract the loop tail's DSB contribution by measuring only the
 	// chain regions: the tail is small and constant; the paper's
 	// counter similarly includes loop overhead. Report the raw chain
 	// average.
-	perIter := float64(delta.Get(perfctr.DSBUops)) / float64(o.Iterations)
+	perIter := float64(res.Counters.Get(perfctr.DSBUops)) / float64(o.Iterations)
 	// Remove the (cached) loop-tail µops: sub+cmp+jcc fuse to 2 µops
 	// plus the entry jmp on the first iteration only.
 	const tailUops = 2

@@ -103,12 +103,12 @@ func fig5Cell(mainSpec, evictSpec *codegen.ChainSpec, mainIters, evictIters int,
 	for r := 0; r < rounds; r++ {
 		c.LoadProgram(mainProg)
 		c.SetReg(0, isa.R14, int64(mainIters))
-		before := c.Counters(0).Snapshot()
-		if res := c.Run(0, mainProg.Entry, maxRunCycle); res.TimedOut {
+		res := c.Run(0, mainProg.Entry, maxRunCycle)
+		if res.TimedOut {
 			return 0, fmt.Errorf("fig5 main loop timed out")
 		}
 		if r > 0 { // skip the cold first round
-			dsb += c.Counters(0).Snapshot().Delta(before).Get(perfctr.DSBUops)
+			dsb += res.Counters.Get(perfctr.DSBUops)
 			measured++
 		}
 		if evictIters > 0 {

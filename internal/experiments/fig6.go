@@ -155,19 +155,7 @@ func fig6SMTPoint(regions int, sibling Fig6Sibling, o Options, a *cpu.Arena) (t1
 		setupChase(c)
 		c.SetReg(1, isa.R1, chaseBase)
 	}
-	run := func(iters int64) ([2]cpu.RunResult, error) {
-		c.SetReg(0, isa.R14, iters)
-		c.SetReg(1, isa.R14, 1<<40) // T2 runs for as long as T1 needs
-		res := c.RunSMTPrimary(t1.Entry, t2.Entry, maxRunCycle)
-		if res[0].TimedOut {
-			return res, fmt.Errorf("fig6 SMT point timed out (%d regions)", regions)
-		}
-		return res, nil
-	}
-	if _, err := run(int64(o.Warmup)); err != nil {
-		return 0, 0, err
-	}
-	res, err := run(int64(o.Iterations))
+	res, err := steadyStateSMT(c, t1.Entry, t2.Entry, o, fmt.Sprintf("fig6 SMT point (%d regions)", regions))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -183,14 +171,9 @@ func fig6STPoint(regions int, o Options, a *cpu.Arena) (float64, error) {
 	}
 	c := cpu.NewWith(cpu.Intel(), a)
 	c.LoadProgram(t1)
-	c.SetReg(0, isa.R14, int64(o.Warmup))
-	if r := c.Run(0, t1.Entry, maxRunCycle); r.TimedOut {
-		return 0, fmt.Errorf("fig6 ST warmup timed out")
-	}
-	c.SetReg(0, isa.R14, int64(o.Iterations))
-	res := c.Run(0, t1.Entry, maxRunCycle)
-	if res.TimedOut {
-		return 0, fmt.Errorf("fig6 ST run timed out")
+	res, err := steadyState(c, t1.Entry, o, "fig6 ST")
+	if err != nil {
+		return 0, err
 	}
 	return float64(res.Counters.Get(perfctr.MITEUops)) / float64(o.Iterations), nil
 }

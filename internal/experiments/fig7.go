@@ -6,7 +6,6 @@ import (
 	"deaduops/internal/asm"
 	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
-	"deaduops/internal/isa"
 	"deaduops/internal/perfctr"
 )
 
@@ -51,23 +50,11 @@ func Fig7aSetProbe(o Options) (*Figure, error) {
 		}
 		c := cpu.NewWith(cpu.Intel(), a)
 		c.LoadProgram(merged)
-		run := func(iters int64) (cpu.RunResult, error) {
-			c.SetReg(0, isa.R14, iters)
-			c.SetReg(1, isa.R14, 1<<40)
-			res := c.RunSMTPrimary(t1.Entry, t2.Entry, maxRunCycle)
-			if res[0].TimedOut {
-				return res[0], fmt.Errorf("fig7a timed out at set %d", set)
-			}
-			return res[0], nil
-		}
-		if _, err := run(int64(o.Warmup)); err != nil {
-			return 0, err
-		}
-		res, err := run(int64(o.Iterations))
+		res, err := steadyStateSMT(c, t1.Entry, t2.Entry, o, fmt.Sprintf("fig7a at set %d", set))
 		if err != nil {
 			return 0, err
 		}
-		return float64(res.Counters.Get(perfctr.MITEUops)) / float64(o.Iterations), nil
+		return float64(res[0].Counters.Get(perfctr.MITEUops)) / float64(o.Iterations), nil
 	})
 	if err != nil {
 		return nil, err
@@ -110,14 +97,9 @@ func Fig7bSetCount(o Options) (*Figure, error) {
 		// Single-thread measurement.
 		c := cpu.NewWith(cpu.Intel(), a)
 		c.LoadProgram(t1)
-		c.SetReg(0, isa.R14, int64(o.Warmup))
-		if r := c.Run(0, t1.Entry, maxRunCycle); r.TimedOut {
-			return fig7bPoint{}, fmt.Errorf("fig7b ST warmup timed out at %d", n)
-		}
-		c.SetReg(0, isa.R14, int64(o.Iterations))
-		st := c.Run(0, t1.Entry, maxRunCycle)
-		if st.TimedOut {
-			return fig7bPoint{}, fmt.Errorf("fig7b ST run timed out at %d", n)
+		st, err := steadyState(c, t1.Entry, o, fmt.Sprintf("fig7b ST at %d", n))
+		if err != nil {
+			return fig7bPoint{}, err
 		}
 
 		// SMT measurement with a PAUSE-spinning sibling.
@@ -131,25 +113,13 @@ func Fig7bSetCount(o Options) (*Figure, error) {
 		}
 		cs := cpu.NewWith(cpu.Intel(), a)
 		cs.LoadProgram(merged)
-		runSMT := func(iters int64) (cpu.RunResult, error) {
-			cs.SetReg(0, isa.R14, iters)
-			cs.SetReg(1, isa.R14, 1<<40)
-			res := cs.RunSMTPrimary(t1.Entry, t2.Entry, maxRunCycle)
-			if res[0].TimedOut {
-				return res[0], fmt.Errorf("fig7b SMT timed out at %d", n)
-			}
-			return res[0], nil
-		}
-		if _, err := runSMT(int64(o.Warmup)); err != nil {
-			return fig7bPoint{}, err
-		}
-		smt, err := runSMT(int64(o.Iterations))
+		smt, err := steadyStateSMT(cs, t1.Entry, t2.Entry, o, fmt.Sprintf("fig7b SMT at %d", n))
 		if err != nil {
 			return fig7bPoint{}, err
 		}
 		return fig7bPoint{
 			st:  float64(st.Counters.Get(perfctr.MITEUops)) / float64(o.Iterations),
-			smt: float64(smt.Counters.Get(perfctr.MITEUops)) / float64(o.Iterations),
+			smt: float64(smt[0].Counters.Get(perfctr.MITEUops)) / float64(o.Iterations),
 		}, nil
 	})
 	if err != nil {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"errors"
+
 	"deaduops/internal/attack"
 	"deaduops/internal/channel"
 	"deaduops/internal/cpu"
@@ -55,11 +57,14 @@ func Fig9Tuning(o Options) (*Figure, error) {
 	vals, err := sweep(o, len(points), func(a *cpu.Arena, i int) (fig9Val, error) {
 		c := cpu.NewWith(cpu.Intel(), a)
 		ch, err := channel.NewSameAddressSpace(c, points[i].cfg)
-		if err != nil {
+		if errors.Is(err, attack.ErrNoSignal) {
 			// A configuration with no measurable signal transmits
 			// garbage: report 50% error at zero effective bandwidth
 			// rather than failing the sweep.
 			return fig9Val{errRate: 0.5}, nil
+		}
+		if err != nil {
+			return fig9Val{}, err
 		}
 		_, res, err := ch.Transmit(payload)
 		if err != nil {

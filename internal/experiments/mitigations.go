@@ -115,15 +115,9 @@ func benignSyscallCycles(m cpu.Mitigation, a *cpu.Arena) (uint64, error) {
 		return 0, err
 	}
 	c.LoadProgram(prog)
-	// Warm.
-	c.SetReg(0, isa.R14, 50)
-	if res := c.Run(0, entry, maxRunCycle); res.TimedOut {
-		return 0, fmt.Errorf("benign warmup timed out")
-	}
-	c.SetReg(0, isa.R14, 200)
-	res := c.Run(0, entry, maxRunCycle)
-	if res.TimedOut {
-		return 0, fmt.Errorf("benign run timed out")
+	res, err := steadyState(c, entry, Options{Warmup: 50, Iterations: 200}, "benign")
+	if err != nil {
+		return 0, err
 	}
 	if res.Counters.Get(perfctr.Instructions) == 0 {
 		return 0, fmt.Errorf("benign run retired nothing")

@@ -31,30 +31,14 @@ type NaturalGadget struct {
 	XmitLoops  int64
 }
 
-// newNaturalGadgetForDebug builds without calibrating (tests).
-func newNaturalGadgetForDebug(c *cpu.CPU) (*NaturalGadget, error) {
-	return buildNaturalGadget(c)
-}
+// ngGeometry avoids the sets the victim's own code regions occupy
+// (the image around 0x20000 maps to sets 0-1).
+func ngGeometry() attack.Geometry { return attack.Geometry{NSets: 2, NWays: 6, FirstSet: 3} }
 
 // NewNaturalGadget assembles the victim with its two tag handlers —
 // the large-tag handler is a chain through the probed sets, standing
 // in for a distinctive hot kernel path — and calibrates the probe.
 func NewNaturalGadget(c *cpu.CPU) (*NaturalGadget, error) {
-	v, err := buildNaturalGadget(c)
-	if err != nil {
-		return nil, err
-	}
-	if err := v.calibrate(); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// ngGeometry avoids the sets the victim's own code regions occupy
-// (the image around 0x20000 maps to sets 0-1).
-func ngGeometry() attack.Geometry { return attack.Geometry{NSets: 2, NWays: 6, FirstSet: 3} }
-
-func buildNaturalGadget(c *cpu.CPU) (*NaturalGadget, error) {
 	lay := victim.DefaultLayout()
 	g := ngGeometry()
 	eraser, err := attack.Build(attack.Tiger(eraserBase, g, "ngerase"))
@@ -138,6 +122,11 @@ func buildNaturalGadget(c *cpu.CPU) (*NaturalGadget, error) {
 	for i := 7; i < 14; i++ {
 		c.Mem().Write(lay.ArrayBase+uint64(i), 1, 0x80)
 	}
+	v.th, err = calibratePresence("natural-gadget", v.WriteSecret,
+		func() (uint64, error) { return v.leakRaw(0) })
+	if err != nil {
+		return nil, err
+	}
 	return v, nil
 }
 
@@ -217,43 +206,6 @@ func (v *NaturalGadget) leakRaw(byteIndex int) (uint64, error) {
 		}
 	}
 	return v.probe()
-}
-
-func (v *NaturalGadget) calibrate() error {
-	// Warm-up: the first windows pay compulsory instruction-cache
-	// misses and would skew the threshold.
-	for _, b := range []byte{0xFF, 0x00, 0xFF, 0x00} {
-		v.WriteSecret([]byte{b})
-		if _, err := v.leakRaw(0); err != nil {
-			return err
-		}
-	}
-	const rounds = 6
-	var one, zero float64
-	for i := 0; i < rounds; i++ {
-		v.WriteSecret([]byte{0xFF})
-		o, err := v.leakRaw(0)
-		if err != nil {
-			return err
-		}
-		one += float64(o)
-		v.WriteSecret([]byte{0x00})
-		z, err := v.leakRaw(0)
-		if err != nil {
-			return err
-		}
-		zero += float64(z)
-	}
-	v.th = attack.Threshold{
-		HitMean:  one / rounds,
-		MissMean: zero / rounds,
-		Cut:      (one + zero) / (2 * rounds),
-	}
-	if v.th.MissMean <= v.th.HitMean {
-		return fmt.Errorf("transient: no natural-gadget signal (one %.0f ≥ zero %.0f)",
-			v.th.HitMean, v.th.MissMean)
-	}
-	return nil
 }
 
 // LeakTagBit recovers the 0x80 bit of the out-of-bounds byte at

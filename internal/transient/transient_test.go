@@ -142,6 +142,19 @@ func TestVariant2CPUIDCalibrationFails(t *testing.T) {
 	}
 }
 
+// TestVariant2CalibrateZeroRounds is the regression for a zero-round
+// calibration that used to succeed with a NaN cut, after which every
+// LeakBit read 0.
+func TestVariant2CalibrateZeroRounds(t *testing.T) {
+	v, err := NewVariant2(cpu.New(cpu.Intel()), victim.WithLFENCE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Calibrate(0); err == nil {
+		t.Errorf("zero-round calibration accepted (cut %v)", v.th.Cut)
+	}
+}
+
 func TestClassicSpectreLeaksBytes(t *testing.T) {
 	c := cpu.New(cpu.Intel())
 	cl, err := NewClassicSpectre(c)

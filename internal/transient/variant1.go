@@ -63,17 +63,6 @@ type Variant1 struct {
 // NewVariant1 assembles the victim library, the attacker gadget, and
 // the probing tigers, then calibrates the timing threshold.
 func NewVariant1(c *cpu.CPU) (*Variant1, error) {
-	v, err := newVariant1NoCal(c)
-	if err != nil {
-		return nil, err
-	}
-	if err := v.calibrate(); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-func newVariant1NoCal(c *cpu.CPU) (*Variant1, error) {
 	lay := victim.DefaultLayout()
 	g := transientGeometry()
 	eraser, err := attack.Build(attack.Tiger(eraserBase, g, "v1erase"))
@@ -159,6 +148,11 @@ func newVariant1NoCal(c *cpu.CPU) (*Variant1, error) {
 		XmitLoops:   50,
 	}
 	c.Mem().Write(lay.ArraySizeAddr, 8, lay.ArrayLen)
+	v.th, err = calibratePresence("variant-1", v.WriteSecret,
+		func() (uint64, error) { return v.leakBitRaw(0, 0) })
+	if err != nil {
+		return nil, err
+	}
 	return v, nil
 }
 
@@ -246,44 +240,28 @@ func (v *Variant1) leakBitRaw(byteIndex, bit int) (uint64, error) {
 	return v.probe()
 }
 
-// calibrate plants known bits and measures both probe distributions.
-func (v *Variant1) calibrate() error {
-	// Warm-up rounds: fill the instruction cache and train the branch
-	// predictors; the first windows are otherwise consumed by cold L1I
-	// misses.
-	for _, b := range []byte{0xFF, 0x00, 0xFF, 0x00} {
-		v.WriteSecret([]byte{b})
-		if _, err := v.leakBitRaw(0, 0); err != nil {
-			return err
+// calibratePresence calibrates a presence-test probe with a known
+// secret byte: planted as 0xFF the transmitter runs and the probe hits,
+// planted as 0x00 it does not and the probe misses. Two warm-up pairs
+// absorb the first windows' cold instruction-cache misses and predictor
+// training; six recorded pairs follow. Any positive separation is
+// accepted: a one-traversal probe has no ratio floor to meet.
+func calibratePresence(name string, write func([]byte), leak func() (uint64, error)) (th attack.Threshold, err error) {
+	plant := func(b byte) func() (uint64, error) {
+		return func() (uint64, error) {
+			write([]byte{b})
+			return leak()
 		}
 	}
-
-	const rounds = 6
-	var one, zero float64
-	for i := 0; i < rounds; i++ {
-		v.WriteSecret([]byte{0xFF})
-		o, err := v.leakBitRaw(0, 0)
-		if err != nil {
-			return err
-		}
-		one += float64(o)
-		v.WriteSecret([]byte{0x00})
-		z, err := v.leakBitRaw(0, 0)
-		if err != nil {
-			return err
-		}
-		zero += float64(z)
+	r, err := attack.MeasurePairs(2, 6, 1, plant(0xFF), plant(0x00))
+	if err != nil {
+		return th, err
 	}
-	v.th = attack.Threshold{
-		HitMean:  one / rounds,
-		MissMean: zero / rounds,
-		Cut:      (one + zero) / (2 * rounds),
+	th = r.Stats()
+	if th.MissMean <= th.HitMean {
+		return th, fmt.Errorf("transient: no %s signal (%s)", name, th.Spread())
 	}
-	if v.th.MissMean <= v.th.HitMean {
-		return fmt.Errorf("transient: no variant-1 signal (one %.0f ≥ zero %.0f)",
-			v.th.HitMean, v.th.MissMean)
-	}
-	return nil
+	return th, nil
 }
 
 // LeakBit transiently reads bit `bit` of secret byte `byteIndex`.

@@ -178,43 +178,43 @@ func (v *Variant2) LeakRaw() (uint64, error) {
 
 // Calibrate measures both secret values and fixes the threshold. It
 // returns an error when no signal separates them — the expected outcome
-// under the CPUID fence.
+// under the CPUID fence — or when rounds < 1.
 func (v *Variant2) Calibrate(rounds int) error {
-	one, zero, err := v.SignalStrength(rounds)
+	r, err := v.measure(rounds)
 	if err != nil {
 		return err
 	}
-	v.th = attack.Threshold{HitMean: one, MissMean: zero, Cut: (one + zero) / 2}
-	if zero <= one*1.2 {
+	v.th = r.Stats()
+	if v.th.MissMean <= v.th.HitMean*1.2 {
 		return fmt.Errorf("transient: no variant-2 signal under %s fence (one %.0f, zero %.0f)",
-			v.fence, one, zero)
+			v.fence, v.th.HitMean, v.th.MissMean)
 	}
 	return nil
 }
 
 // SignalStrength returns the mean probe time with the secret planted as
 // one and as zero. A separated pair means the channel leaks under this
-// fence. The first round of each is warm-up and discarded.
+// fence.
 func (v *Variant2) SignalStrength(rounds int) (oneMean, zeroMean float64, err error) {
-	var one, zero float64
-	for i := 0; i < rounds+1; i++ {
-		v.WriteSecret(1)
-		o, err := v.LeakRaw()
-		if err != nil {
-			return 0, 0, err
-		}
-		v.WriteSecret(0)
-		z, err := v.LeakRaw()
-		if err != nil {
-			return 0, 0, err
-		}
-		if i == 0 {
-			continue // warm-up
-		}
-		one += float64(o)
-		zero += float64(z)
+	r, err := v.measure(rounds)
+	if err != nil {
+		return 0, 0, err
 	}
-	return one / float64(rounds), zero / float64(rounds), nil
+	th := r.Stats()
+	return th.HitMean, th.MissMean, nil
+}
+
+// measure runs one warm-up pair and then rounds recorded pairs of the
+// per-bit protocol, the secret planted as one (hit: fun1 present) and
+// then as zero (miss).
+func (v *Variant2) measure(rounds int) (attack.Rounds, error) {
+	plant := func(bit int) func() (uint64, error) {
+		return func() (uint64, error) {
+			v.WriteSecret(bit)
+			return v.LeakRaw()
+		}
+	}
+	return attack.MeasurePairs(1, rounds, 1, plant(1), plant(0))
 }
 
 // LeakBit recovers the planted secret bit through the fence.
