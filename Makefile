@@ -4,10 +4,15 @@ GO ?= go
 # for a real fuzzing session (e.g. make fuzz FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint serve fuzz check bench-json bench-diff figures-digest
+.PHONY: build fmt-check test race vet lint serve fuzz check bench-json bench-diff figures-digest
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails if any tracked Go file is not gofmt-clean.
+fmt-check:
+	@out=$$(git ls-files '*.go' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "fmt-check: not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -80,8 +85,12 @@ figures-digest:
 # probe cycles, and the jump-alignment stall asymmetry on
 # alignment-divergent victims — plus the checkpoint ≡ straight-line
 # contract: a PointRunner's checkpointed measurements equal a fresh
-# core's, under every profile, with cycle skip on and off.
+# core's, under every profile, with cycle skip on and off — and the
+# core ≡ reference contract: a generated program leaves the same
+# architectural state on the pipelined core (any profile, skip on or
+# off) as on the sequential interpreter.
 fuzz:
+	$(GO) test ./internal/ref -fuzz FuzzCoreVsRef -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/decode -fuzz FuzzPlanRegion -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint -fuzz FuzzIndirectResolve -fuzztime $(FUZZTIME)
@@ -91,5 +100,5 @@ fuzz:
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzIndirectDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzPointRunner -fuzztime $(FUZZTIME)
 
-check: build vet test race lint
+check: fmt-check build vet test race lint
 	$(MAKE) fuzz FUZZTIME=5s

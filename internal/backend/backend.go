@@ -58,7 +58,8 @@ type entry struct {
 	uop isa.Uop
 	// seq is the entry's allocation number, monotonically increasing in
 	// dispatch order. The entry pool uses it to decide when a retired
-	// producer can no longer be referenced by any in-flight consumer.
+	// producer can no longer be referenced by any in-flight consumer;
+	// the ROB is sorted by it, and the store FIFO records it.
 	seq uint64
 
 	// dataflow sources; nil when the operand comes from the
@@ -128,9 +129,30 @@ type Backend struct {
 	gmem Memory
 	ctr  *perfctr.Counters
 
+	// rob is the reorder buffer, oldest first: a window into robBuf,
+	// which holds twice ROBSize entries. Retirement advances the
+	// window's start and dispatch appends at its end, sliding the window
+	// back to the buffer's start only when the tail runs out (see
+	// slide), so the per-cycle stages never shift the ROB.
 	rob      []*entry
+	robBuf   []*entry
 	regProd  [isa.NumRegs]*entry
 	flagProd *entry
+
+	// Worklists: the per-cycle stages visit only the entries that can
+	// act, never the whole ROB.
+	//   - pend holds exactly the ROB's not-done entries, in ROB order;
+	//     execute and SkipBound walk it.
+	//   - branches holds the branches that completed since the last
+	//     resolveBranches, in ROB order (execute marks entries done in
+	//     ROB order, and resolveBranches consumes the whole list).
+	//   - stores holds the seq of every store in the ROB, oldest first
+	//     (a window into storeBuf, like rob): a load may issue only when
+	//     no store older than it is still in the ROB.
+	pend     []*entry
+	branches []*entry
+	stores   []uint64
+	storeBuf []uint64
 
 	// Entry pool. Dataflow references only ever point from younger
 	// entries to older ones (captureSources reads regProd/flagProd/the
@@ -142,10 +164,13 @@ type Backend struct {
 	// no referencer can remain and the entry moves to the free list.
 	// Squashed entries skip the graveyard: their only possible
 	// referencers are younger entries squashed with them.
-	seq    uint64     // next allocation number
-	free   []*entry   // recycled entries ready for reuse
-	grave  []graveRec // retired entries awaiting their watermark
-	popBuf []isa.Uop  // reusable IDQ pop buffer (DispatchWidth)
+	seq   uint64     // next allocation number
+	free  []*entry   // recycled entries ready for reuse
+	grave []graveRec // retired entries awaiting their watermark, oldest first
+	// graveBuf backs the grave window (twice ROBSize records): every
+	// parked entry was in the ROB together with the current ROB head,
+	// so at most ROBSize−1 are ever parked.
+	graveBuf []graveRec
 
 	regs  [isa.NumRegs]int64
 	flags isa.Flags
@@ -180,46 +205,70 @@ type graveRec struct {
 func New(cfg Config, fe *frontend.FrontEnd, bp *bpu.BPU, hier *mem.Hierarchy, gmem Memory, ctr *perfctr.Counters) *Backend {
 	b := &Backend{cfg: cfg, fe: fe, bp: bp, hier: hier, gmem: gmem, ctr: ctr}
 	b.regs[isa.R15] = int64(cfg.StackTop)
-	// Pre-size the ROB, the entry pool, and the dispatch pop buffer so
+	// Pre-size the ROB windows, the worklists and the entry pool so
 	// the steady-state cycle loop never grows any of them.
-	b.rob = make([]*entry, 0, cfg.ROBSize)
+	b.robBuf = make([]*entry, 2*cfg.ROBSize)
+	b.storeBuf = make([]uint64, 2*cfg.ROBSize)
+	b.graveBuf = make([]graveRec, 2*cfg.ROBSize)
+	b.pend = make([]*entry, 0, cfg.ROBSize)
+	b.branches = make([]*entry, 0, cfg.ROBSize)
 	b.free = make([]*entry, 0, cfg.ROBSize)
-	b.grave = make([]graveRec, 0, cfg.ROBSize)
-	b.popBuf = make([]isa.Uop, cfg.DispatchWidth)
+	b.drain()
 	return b
 }
 
-// newEntry takes an entry from the free list (or allocates one) and
-// stamps it with the next sequence number.
-func (b *Backend) newEntry(u isa.Uop) *entry {
+// slide makes room for one more element at the end of w, a window
+// into buf that extends to buf's end: when w's tail has reached that
+// end, the window moves back to buf's start. Since a window never holds
+// more than half of buf, each element moves at most once per
+// len(buf)/2 appends.
+func slide[T any](w, buf []T) []T {
+	if len(w) < cap(w) {
+		return w
+	}
+	return buf[:copy(buf, w)]
+}
+
+// newEntry takes an entry from the free list (or allocates one),
+// copies u into it, and stamps it with the next sequence number.
+func (b *Backend) newEntry(u *isa.Uop) *entry {
 	var e *entry
 	if n := len(b.free); n > 0 {
 		e = b.free[n-1]
 		b.free = b.free[:n-1]
-		*e = entry{}
 	} else {
 		e = new(entry)
 	}
-	e.uop = u
+	// Zero in place, then copy the µop once: a composite literal with
+	// *u in it would be built in a temporary and copied again.
+	*e = entry{}
+	e.uop = *u
 	e.seq = b.seq
 	b.seq++
 	return e
+}
+
+// drain recycles every in-flight and parked entry and empties the ROB
+// and the worklists: nothing outside the backend holds entry pointers.
+func (b *Backend) drain() {
+	b.free = append(b.free, b.rob...)
+	for i := range b.grave {
+		b.free = append(b.free, b.grave[i].e)
+	}
+	b.rob = b.robBuf[:0]
+	b.grave = b.graveBuf[:0]
+	b.stores = b.storeBuf[:0]
+	b.pend = b.pend[:0]
+	b.branches = b.branches[:0]
+	b.regProd = [isa.NumRegs]*entry{}
+	b.flagProd = nil
 }
 
 // Reset prepares the backend to run from a clean architectural state at
 // entry. Register and memory contents persist (the attacks depend on
 // persistent microarchitectural and memory state between runs).
 func (b *Backend) Reset(pc uint64) {
-	// Recycle every in-flight and parked entry: nothing outside the
-	// backend holds entry pointers, so a reset drains both pools.
-	b.free = append(b.free, b.rob...)
-	for i := range b.grave {
-		b.free = append(b.free, b.grave[i].e)
-	}
-	b.grave = b.grave[:0]
-	b.rob = b.rob[:0]
-	b.regProd = [isa.NumRegs]*entry{}
-	b.flagProd = nil
+	b.drain()
 	b.halted = false
 	b.fe.Redirect(pc)
 }
@@ -270,14 +319,7 @@ func (b *Backend) Save(s *State) {
 // in-flight and parked entries back to the pool (exactly as Reset
 // does) so the backend sits in the quiescent between-runs position.
 func (b *Backend) Restore(s *State) {
-	b.free = append(b.free, b.rob...)
-	for i := range b.grave {
-		b.free = append(b.free, b.grave[i].e)
-	}
-	b.grave = b.grave[:0]
-	b.rob = b.rob[:0]
-	b.regProd = [isa.NumRegs]*entry{}
-	b.flagProd = nil
+	b.drain()
 	b.regs = s.Regs
 	b.flags = s.Flags
 	b.kernelMode = s.KernelMode
@@ -329,15 +371,17 @@ func (b *Backend) SkipBound(cycle uint64) uint64 {
 	if b.fe.IDQLen() > 0 && len(b.rob) < b.cfg.ROBSize {
 		return 0 // dispatch has both micro-ops and ROB room
 	}
+	if len(b.branches) > 0 {
+		return 0 // resolveBranches acts
+	}
+	// Done entries cannot act any more; pend holds all the others.
 	bound := unbounded
-	lfIdx := b.lfenceBlockIndex()
-	fenced := false // a ready serializing micro-op blocks all younger issue
-	for i, e := range b.rob {
-		if e.done {
-			if e.uop.IsBranch() && !e.resolved {
-				return 0 // resolveBranches acts
-			}
-			continue
+	pastFence := false // an older micro-op in pend is an LFENCE
+	fenced := false    // a ready serializing micro-op blocks all younger issue
+	for _, e := range b.pend {
+		behindFence := pastFence
+		if e.uop.Op == isa.LFENCE {
+			pastFence = true
 		}
 		if e.issued {
 			if e.readyAt <= cycle+1 {
@@ -354,7 +398,7 @@ func (b *Backend) SkipBound(cycle uint64) uint64 {
 		if fenced {
 			continue
 		}
-		if lfIdx >= 0 && i > lfIdx {
+		if behindFence {
 			continue // behind an in-flight LFENCE
 		}
 		if !depReady(e.src1) || !depReady(e.src2) ||
@@ -363,7 +407,7 @@ func (b *Backend) SkipBound(cycle uint64) uint64 {
 		}
 		switch e.uop.Op {
 		case isa.LFENCE, isa.SYSRET, isa.ITLBFLUSH:
-			if i > 0 {
+			if e != b.rob[0] {
 				// Serializing: waits to reach the ROB head, which takes a
 				// retirement; execute's issue loop breaks here, so every
 				// younger micro-op is blocked with it.
@@ -371,23 +415,12 @@ func (b *Backend) SkipBound(cycle uint64) uint64 {
 				continue
 			}
 		}
-		if isLoad(&e.uop) && b.olderStorePending(i) {
+		if isLoad(&e.uop) && b.storeOlder(e) {
 			continue // stores drain only at retire
 		}
 		return 0 // ready to issue next Tick
 	}
 	return bound
-}
-
-// lfenceBlockIndex returns the ROB index of the oldest unretired LFENCE
-// (micro-ops younger than it may not issue), or -1.
-func (b *Backend) lfenceBlockIndex() int {
-	for i, e := range b.rob {
-		if e.uop.Op == isa.LFENCE && !e.done {
-			return i
-		}
-	}
-	return -1
 }
 
 // dispatch renames micro-ops from the IDQ into the ROB.
@@ -397,11 +430,15 @@ func (b *Backend) dispatch() {
 	if n > room {
 		n = room
 	}
+	q := b.fe.Peek()
+	if n > len(q) {
+		n = len(q)
+	}
 	if n <= 0 {
 		return
 	}
-	got := b.fe.PopInto(b.popBuf[:n])
-	for _, u := range b.popBuf[:got] {
+	for i := range q[:n] {
+		u := &q[i]
 		e := b.newEntry(u)
 		b.captureSources(e)
 		if prev := len(b.rob) - 1; prev >= 0 && u.Index > 0 &&
@@ -410,7 +447,11 @@ func (b *Backend) dispatch() {
 			// popped return address).
 			e.chain = b.rob[prev]
 		}
-		b.rob = append(b.rob, e)
+		b.rob = append(slide(b.rob, b.robBuf), e)
+		b.pend = append(b.pend, e)
+		if isStore(u) {
+			b.stores = append(slide(b.stores, b.storeBuf), e.seq)
+		}
 		if r, ok := e.writesReg(); ok {
 			b.regProd[r] = e
 		}
@@ -418,6 +459,7 @@ func (b *Backend) dispatch() {
 			b.flagProd = e
 		}
 	}
+	b.fe.Discard(n)
 }
 
 // captureSources records e's dataflow dependencies, or captures the
@@ -506,15 +548,9 @@ func isStore(u *isa.Uop) bool {
 	return false
 }
 
-// olderStorePending reports whether any ROB entry older than index i is
-// an unretired store.
-func (b *Backend) olderStorePending(i int) bool {
-	for j := 0; j < i; j++ {
-		if isStore(&b.rob[j].uop) {
-			return true
-		}
-	}
-	return false
+// storeOlder reports whether a store older than e is still in the ROB.
+func (b *Backend) storeOlder(e *entry) bool {
+	return len(b.stores) > 0 && b.stores[0] < e.seq
 }
 
 func depReady(d *entry) bool { return d == nil || d.done }
@@ -527,25 +563,33 @@ func depVal(d *entry, captured int64) int64 {
 }
 
 // execute issues ready micro-ops to execution and completes in-flight
-// ones.
+// ones, oldest first. It walks pend only — done entries elsewhere in
+// the ROB have nothing left to do — compacting out the entries that
+// complete.
 func (b *Backend) execute() {
-	lfIdx := b.lfenceBlockIndex()
 	ports := b.cfg.ExecPorts
+	pastFence := false // an older micro-op in pend is an LFENCE
+	keep := b.pend[:0]
+	i := 0
 issueLoop:
-	for i, e := range b.rob {
-		if e.done {
-			continue
+	for ; i < len(b.pend); i++ {
+		e := b.pend[i]
+		behindFence := pastFence
+		if e.uop.Op == isa.LFENCE {
+			pastFence = true
 		}
 		if e.issued {
 			if b.cycle >= e.readyAt {
-				e.done = true
+				b.markDone(e)
+			} else {
+				keep = append(keep, e)
 			}
 			continue
 		}
 		if ports == 0 {
 			break
 		}
-		if lfIdx >= 0 && i > lfIdx {
+		if behindFence {
 			// LFENCE: younger micro-ops are not dispatched to
 			// execution until it completes. (They were still fetched
 			// and decoded — the variant-2 channel.)
@@ -553,6 +597,7 @@ issueLoop:
 		}
 		if !depReady(e.src1) || !depReady(e.src2) ||
 			!depReady(e.flagSrc) || !depReady(e.chain) {
+			keep = append(keep, e)
 			continue
 		}
 		switch e.uop.Op {
@@ -560,18 +605,36 @@ issueLoop:
 			// Serializing: execute only once all older micro-ops have
 			// drained (SYSRET must observe the SYSCALL-pushed return
 			// address, which lands at retirement).
-			if i > 0 {
+			if e != b.rob[0] {
 				break issueLoop
 			}
 		}
-		if isLoad(&e.uop) && b.olderStorePending(i) {
+		if isLoad(&e.uop) && b.storeOlder(e) {
 			// Stores commit memory at retire; a younger load must wait
 			// for older stores to drain (conservative memory ordering
 			// in place of store-to-load forwarding).
+			keep = append(keep, e)
 			continue
 		}
 		ports--
 		b.issue(e)
+		if e.done {
+			b.markDone(e)
+		} else {
+			keep = append(keep, e)
+		}
+	}
+	if len(keep) < i {
+		b.pend = append(keep, b.pend[i:]...)
+	}
+}
+
+// markDone completes e. The caller drops it from pend; a branch joins
+// the list resolveBranches consumes.
+func (b *Backend) markDone(e *entry) {
+	e.done = true
+	if e.uop.IsBranch() {
+		b.branches = append(b.branches, e)
 	}
 }
 
@@ -734,13 +797,11 @@ func aluOp(op isa.Op, a, bv int64) (int64, isa.Flags) {
 	return v, f
 }
 
-// resolveBranches checks completed branch micro-ops oldest-first and
-// squashes on the first misprediction found.
+// resolveBranches resolves the branches completed since the last call,
+// oldest first, and squashes on the first misprediction found. Every
+// branch on the list is resolved or squashed, so the list empties.
 func (b *Backend) resolveBranches() {
-	for i, e := range b.rob {
-		if !e.done || e.resolved || !e.uop.IsBranch() {
-			continue
-		}
+	for _, e := range b.branches {
 		e.resolved = true
 		u := &e.uop
 		actualNext := u.FallThrough()
@@ -765,7 +826,7 @@ func (b *Backend) resolveBranches() {
 			b.bp.UpdateIndirect(u.BranchPC, e.target)
 		}
 		if misp {
-			b.squashAfter(i)
+			b.squashAfter(e)
 			b.ctr.Inc(perfctr.BranchMispredicts)
 			b.ctr.Inc(perfctr.Squashes)
 			if b.OnSquash != nil {
@@ -776,16 +837,41 @@ func (b *Backend) resolveBranches() {
 			return
 		}
 	}
+	b.branches = b.branches[:0]
 }
 
-// squashAfter drops every ROB entry younger than index i and rebuilds
-// the rename state from the survivors. Cache and micro-op cache side
-// effects of squashed micro-ops are — deliberately — not undone.
-func (b *Backend) squashAfter(i int) {
+// squashAfter drops every ROB entry younger than the branch br and
+// rebuilds the rename state from the survivors. Cache and micro-op
+// cache side effects of squashed micro-ops are — deliberately — not
+// undone.
+func (b *Backend) squashAfter(br *entry) {
+	// The ROB is in strictly increasing seq order: find br by binary
+	// search.
+	i, hi := 0, len(b.rob)
+	for i < hi {
+		m := int(uint(i+hi) >> 1)
+		if b.rob[m].seq < br.seq {
+			i = m + 1
+		} else {
+			hi = m
+		}
+	}
 	// Squashed entries can only be referenced by younger entries — which
-	// are squashed with them — so they recycle immediately.
+	// are squashed with them — so they recycle immediately. Every
+	// completed branch still listed is younger than br.
 	b.free = append(b.free, b.rob[i+1:]...)
 	b.rob = b.rob[:i+1]
+	b.branches = b.branches[:0]
+	n := len(b.pend)
+	for n > 0 && b.pend[n-1].seq > br.seq {
+		n--
+	}
+	b.pend = b.pend[:n]
+	n = len(b.stores)
+	for n > 0 && b.stores[n-1] > br.seq {
+		n--
+	}
+	b.stores = b.stores[:n]
 	b.regProd = [isa.NumRegs]*entry{}
 	b.flagProd = nil
 	for _, e := range b.rob {
@@ -798,13 +884,13 @@ func (b *Backend) squashAfter(i int) {
 	}
 }
 
-// retire commits completed micro-ops in order. Retired entries are
-// compacted out of the ROB in one pass (preserving its capacity) and
-// parked in the graveyard until the watermark frees them.
+// retire commits completed micro-ops in order. Each retired entry
+// leaves the head of the ROB window and is parked in the graveyard
+// until the watermark frees it.
 func (b *Backend) retire() {
 	n := 0
-	for n < b.cfg.RetireWidth && n < len(b.rob) {
-		e := b.rob[n]
+	for n < b.cfg.RetireWidth && len(b.rob) > 0 {
+		e := b.rob[0]
 		if !e.done {
 			break
 		}
@@ -813,6 +899,11 @@ func (b *Backend) retire() {
 		}
 		b.commit(e)
 		b.clearProducer(e)
+		b.rob = b.rob[1:]
+		if isStore(&e.uop) {
+			b.stores = b.stores[1:]
+		}
+		b.grave = append(slide(b.grave, b.graveBuf), graveRec{e: e, freeAt: b.seq})
 		n++
 		if b.OnRetire != nil {
 			b.OnRetire(b.cycle, e.uop)
@@ -832,14 +923,9 @@ func (b *Backend) retire() {
 			break
 		}
 	}
-	if n == 0 {
-		return
+	if n > 0 {
+		b.reclaim()
 	}
-	for i := 0; i < n; i++ {
-		b.grave = append(b.grave, graveRec{e: b.rob[i], freeAt: b.seq})
-	}
-	b.rob = b.rob[:copy(b.rob, b.rob[n:])]
-	b.reclaim()
 }
 
 // reclaim moves graveyard entries past their watermark to the free
@@ -851,22 +937,19 @@ func (b *Backend) reclaim() {
 	if len(b.rob) > 0 {
 		watermark = b.rob[0].seq
 	}
-	k := 0
-	for k < len(b.grave) && b.grave[k].freeAt <= watermark {
-		b.free = append(b.free, b.grave[k].e)
-		k++
-	}
-	if k > 0 {
-		b.grave = b.grave[:copy(b.grave, b.grave[k:])]
+	for len(b.grave) > 0 && b.grave[0].freeAt <= watermark {
+		b.free = append(b.free, b.grave[0].e)
+		b.grave = b.grave[1:]
 	}
 }
 
 // clearProducer removes rename-table references to a retired entry.
+// The rename table only ever maps an entry's own destination register
+// to it (dispatch and squashAfter set regProd[r] only for the r that
+// writesReg reports), so that is the one slot to check.
 func (b *Backend) clearProducer(e *entry) {
-	for r := range b.regProd {
-		if b.regProd[r] == e {
-			b.regProd[r] = nil
-		}
+	if r, ok := e.writesReg(); ok && b.regProd[r] == e {
+		b.regProd[r] = nil
 	}
 	if b.flagProd == e {
 		b.flagProd = nil

@@ -6,6 +6,8 @@
 // predictor by earlier authorized executions.
 package bpu
 
+import "fmt"
+
 // Config sizes the predictor structures.
 type Config struct {
 	// GshareBits is the log2 size of the pattern history table.
@@ -53,6 +55,8 @@ type BPU struct {
 	history  uint64
 	btb      []btbEntry
 	indirect []btbEntry
+	btbMask  uint64 // len(btb) − 1
+	indMask  uint64 // len(indirect) − 1
 	rsb      []uint64
 	rsbTop   int
 
@@ -61,13 +65,23 @@ type BPU struct {
 	DirectionMisses  uint64
 }
 
-// New builds a predictor.
+// New builds a predictor. It panics unless BTBEntries and
+// IndirectEntries are positive powers of two: the target predictors
+// index by mask, so any other size would alias silently.
+// Configurations are static in this codebase.
 func New(cfg Config) *BPU {
+	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
+	if !pow2(cfg.BTBEntries) || !pow2(cfg.IndirectEntries) {
+		panic(fmt.Sprintf("bpu: BTBEntries %d and IndirectEntries %d must be positive powers of two",
+			cfg.BTBEntries, cfg.IndirectEntries))
+	}
 	b := &BPU{
 		cfg:      cfg,
 		pht:      make([]uint8, 1<<cfg.GshareBits),
 		btb:      make([]btbEntry, cfg.BTBEntries),
 		indirect: make([]btbEntry, cfg.IndirectEntries),
+		btbMask:  uint64(cfg.BTBEntries - 1),
+		indMask:  uint64(cfg.IndirectEntries - 1),
 		rsb:      make([]uint64, cfg.RSBDepth),
 	}
 	for i := range b.pht {
@@ -114,7 +128,7 @@ func boolBit(v bool) uint64 {
 
 // PredictTarget consults the BTB for the direct branch at pc.
 func (b *BPU) PredictTarget(pc uint64) (uint64, bool) {
-	e := &b.btb[pc%uint64(len(b.btb))]
+	e := &b.btb[pc&b.btbMask]
 	if e.valid && e.pc == pc {
 		return e.target, true
 	}
@@ -123,7 +137,7 @@ func (b *BPU) PredictTarget(pc uint64) (uint64, bool) {
 
 // UpdateTarget trains the BTB.
 func (b *BPU) UpdateTarget(pc, target uint64) {
-	b.btb[pc%uint64(len(b.btb))] = btbEntry{pc: pc, target: target, valid: true}
+	b.btb[pc&b.btbMask] = btbEntry{pc: pc, target: target, valid: true}
 }
 
 // PredictIndirect consults the indirect-target predictor for the
@@ -131,7 +145,7 @@ func (b *BPU) UpdateTarget(pc, target uint64) {
 // cache fill — to the predicted target before the branch executes,
 // which is the footprint the variant-2 attack observes.
 func (b *BPU) PredictIndirect(pc uint64) (uint64, bool) {
-	e := &b.indirect[pc%uint64(len(b.indirect))]
+	e := &b.indirect[pc&b.indMask]
 	if e.valid && e.pc == pc {
 		return e.target, true
 	}
@@ -140,7 +154,7 @@ func (b *BPU) PredictIndirect(pc uint64) (uint64, bool) {
 
 // UpdateIndirect trains the indirect predictor with the resolved target.
 func (b *BPU) UpdateIndirect(pc, target uint64) {
-	b.indirect[pc%uint64(len(b.indirect))] = btbEntry{pc: pc, target: target, valid: true}
+	b.indirect[pc&b.indMask] = btbEntry{pc: pc, target: target, valid: true}
 }
 
 // PushRSB records a return address at a call.

@@ -150,3 +150,37 @@ func TestReset(t *testing.T) {
 		t.Error("RSB survived reset")
 	}
 }
+
+// TestNewRejectsNonPowerOfTwoTables guards the mask indexing: a table
+// size that is not a positive power of two would alias entries
+// silently, so New must refuse it.
+func TestNewRejectsNonPowerOfTwoTables(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mod  func(*Config)
+	}{
+		{"btb-3000", func(c *Config) { c.BTBEntries = 3000 }},
+		{"btb-0", func(c *Config) { c.BTBEntries = 0 }},
+		{"indirect-1000", func(c *Config) { c.IndirectEntries = 1000 }},
+		{"indirect-negative", func(c *Config) { c.IndirectEntries = -4 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.mod(&cfg)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%+v) did not panic", cfg)
+				}
+			}()
+			New(cfg)
+		})
+	}
+	// One-entry tables are a valid (degenerate) power of two.
+	cfg := DefaultConfig()
+	cfg.BTBEntries, cfg.IndirectEntries = 1, 1
+	b := New(cfg)
+	b.UpdateTarget(0x1234, 0x5678)
+	if tgt, ok := b.PredictTarget(0x1234); !ok || tgt != 0x5678 {
+		t.Errorf("1-entry BTB = %#x, %v", tgt, ok)
+	}
+}

@@ -141,15 +141,23 @@ func numPages(size int) int {
 	return (size + (1 << memPageShift) - 1) >> memPageShift
 }
 
-// Arena recycles the dominant allocation a core needs — the guest
-// memory image, 4 MiB at the default configuration — across the
-// sequence of CPUs one sweep worker builds. An arena must never be
-// shared between goroutines: parsweep gives each pool worker its own
-// via its per-worker setup hook, so a 150-point sweep on 8 workers
-// touches 8 images instead of 150. The zero value is ready to use,
-// and a nil *Arena degrades to plain allocation.
+// Arena recycles the dominant allocations a core needs — the guest
+// memory image (4 MiB at the default configuration) and the cache
+// hierarchy (a 3 MiB LLC line array among its five levels) — across
+// the sequence of CPUs one sweep worker builds. Both are handed back
+// clean at a cost proportional to what the previous core touched, not
+// to their size. An arena must never be shared between goroutines:
+// parsweep gives each pool worker its own via its per-worker setup
+// hook, so a 150-point sweep on 8 workers touches 8 images and 8
+// hierarchies instead of 150. The zero value is ready to use, and a
+// nil *Arena degrades to plain allocation.
 type Arena struct {
 	m *Memory
+	// hier is the last core's hierarchy and pristine its state as
+	// built: a core with the same HierarchyConfig gets hier back after
+	// restoring pristine (see hierarchy).
+	hier     *mem.Hierarchy
+	pristine mem.HierarchyState
 	// cks is the arena's pool of reusable checkpoint buffers: a sweep
 	// worker that snapshots one primed core per point checkpoints into
 	// the same backing arrays every time (see CheckpointBuf).
@@ -193,6 +201,25 @@ func (a *Arena) memory(size int) *Memory {
 	}
 	m.dirty = m.dirty[:0]
 	return m
+}
+
+// hierarchy returns a cache hierarchy for cfg in its as-built state,
+// reusing the arena's hierarchy when its configuration matches. The
+// restore is the checkpoint path's sparse one: it clears only the sets
+// the previous core filled and zeroes every clock and counter, so the
+// result is indistinguishable from a new hierarchy. Hooks are not
+// reset; NewWith installs the new core's own.
+func (a *Arena) hierarchy(cfg mem.HierarchyConfig) *mem.Hierarchy {
+	if a == nil {
+		return mem.NewHierarchy(cfg)
+	}
+	if a.hier == nil || a.hier.Config() != cfg {
+		a.hier = mem.NewHierarchy(cfg)
+		a.hier.Save(&a.pristine)
+		return a.hier
+	}
+	a.hier.Restore(&a.pristine)
+	return a.hier
 }
 
 // memPageShift sizes the dirty-tracking granule (4 KiB pages). The
@@ -335,11 +362,12 @@ type CPU struct {
 // New builds a core.
 func New(cfg Config) *CPU { return NewWith(cfg, nil) }
 
-// NewWith builds a core like New, drawing the guest memory image from
-// arena (which may be nil). The returned CPU owns the arena's buffer
-// until the next NewWith call on the same arena, so at most one CPU
-// per arena may be live at a time — exactly the shape of a sweep
-// worker that builds, measures, and discards one core per point.
+// NewWith builds a core like New, drawing the guest memory image and
+// the cache hierarchy from arena (which may be nil). The returned CPU
+// owns the arena's buffers until the next NewWith call on the same
+// arena, so at most one CPU per arena may be live at a time — exactly
+// the shape of a sweep worker that builds, measures, and discards one
+// core per point.
 func NewWith(cfg Config, arena *Arena) *CPU {
 	if cfg.Mitigation == MitigationPrivilegePartition {
 		cfg.UopCache.PrivilegePartition = true
@@ -347,7 +375,7 @@ func NewWith(cfg Config, arena *Arena) *CPU {
 	c := &CPU{
 		cfg:  cfg,
 		uc:   uopcache.New(cfg.UopCache),
-		hier: mem.NewHierarchy(cfg.Hierarchy),
+		hier: arena.hierarchy(cfg.Hierarchy),
 		mem:  arena.memory(cfg.MemSize),
 	}
 	// Inclusion hooks: an L1I eviction invalidates the matching

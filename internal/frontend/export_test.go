@@ -28,3 +28,15 @@ func (f *FrontEnd) MemoGroups() []MemoGroup {
 	}
 	return out
 }
+
+// Pop removes up to n micro-ops from the IDQ, as the backend's rename
+// stage does, and returns copies of them.
+func (f *FrontEnd) Pop(n int) []isa.Uop {
+	q := f.Peek()
+	if n > len(q) {
+		n = len(q)
+	}
+	out := append([]isa.Uop(nil), q[:n]...)
+	f.Discard(n)
+	return out
+}

@@ -100,7 +100,13 @@ type FrontEnd struct {
 	lsdIdx    int
 	lsdActive bool
 
-	idq []isa.Uop
+	// idq is the instruction decode queue: a window into idqBuf, which
+	// holds twice IDQCapacity µops. The backend consumes from the front
+	// (Peek/Discard) and Tick appends at the back, sliding the window to
+	// the buffer's start only when it runs out of tail room, so neither
+	// end shifts the queue every cycle.
+	idq    []isa.Uop
+	idqBuf []isa.Uop
 
 	// group is the one reusable fetch-group buffer: at most one fetch
 	// group is ever live (either pendingGroup on the DSB path or
@@ -116,14 +122,25 @@ type FrontEnd struct {
 	// memo is the per-entry fetch memo (see entryMemo), keyed by fetch
 	// entry PC. It is derived from the program alone, so it is not
 	// core state: SetProgram clears it when the program changes, and
-	// checkpoints neither save nor clear it.
-	memo map[uint64]*entryMemo
+	// checkpoints neither save nor clear it. memoFront is a
+	// direct-mapped, PC-tagged cache of memo consulted before the map.
+	memo      map[uint64]*entryMemo
+	memoFront [1 << memoFrontBits]memoSlot
 
 	// Fixed configuration values the per-fetch path reads, hoisted out
 	// of the (large, value-returned) configuration structs.
 	regionMask  uint64 // µop cache region size − 1
 	streamWidth int    // DSB delivery µops per cycle
 	l1iLat      int    // L1I hit latency
+}
+
+// memoFrontBits sizes memoFront: 1<<memoFrontBits direct-mapped slots.
+const memoFrontBits = 10
+
+// memoSlot is one memoFront slot; m is nil when the slot is empty.
+type memoSlot struct {
+	pc uint64
+	m  *entryMemo
 }
 
 // entryMemo is everything about fetching from one entry PC that is a
@@ -179,7 +196,7 @@ func New(cfg Config, thread int, uc *uopcache.Cache, hier *mem.Hierarchy, bp *bp
 		// cycle loop never grows either: the IDQ is hard-capped at
 		// IDQCapacity, and one region streams at most
 		// MaxLinesPerRegion × SlotsPerLine micro-ops.
-		idq:         make([]isa.Uop, 0, cfg.IDQCapacity),
+		idqBuf:      make([]isa.Uop, 2*cfg.IDQCapacity),
 		streamBuf:   make([]isa.Uop, 0, ucfg.MaxLinesPerRegion*ucfg.SlotsPerLine),
 		memo:        make(map[uint64]*entryMemo),
 		regionMask:  ucfg.RegionSize() - 1,
@@ -194,6 +211,7 @@ func New(cfg Config, thread int, uc *uopcache.Cache, hier *mem.Hierarchy, bp *bp
 func (f *FrontEnd) SetProgram(p *asm.Program) {
 	if p != f.prog {
 		clear(f.memo)
+		clear(f.memoFront[:])
 	}
 	f.prog = p
 }
@@ -221,7 +239,7 @@ func (f *FrontEnd) Redirect(pc uint64) {
 	f.lsdLoop = nil
 	f.lsdIdx = 0
 	f.lsdActive = false
-	f.idq = f.idq[:0]
+	f.idq = f.idqBuf[:0]
 }
 
 // Stop halts fetch (thread finished).
@@ -253,28 +271,15 @@ func (f *FrontEnd) InMITE() bool { return f.m == modeMITE && f.plan != nil }
 // IDQLen returns the number of micro-ops buffered for the backend.
 func (f *FrontEnd) IDQLen() int { return len(f.idq) }
 
-// Pop removes up to n micro-ops from the IDQ for rename/dispatch.
-func (f *FrontEnd) Pop(n int) []isa.Uop {
-	if n > len(f.idq) {
-		n = len(f.idq)
-	}
-	out := make([]isa.Uop, n)
-	f.PopInto(out)
-	return out
-}
+// Peek returns the IDQ's micro-ops, oldest first. The slice aliases the
+// queue: it is valid only until the next Tick, Discard or Redirect,
+// and the caller must not modify it. Rename copies each µop straight
+// out of it, then consumes them with Discard.
+func (f *FrontEnd) Peek() []isa.Uop { return f.idq }
 
-// PopInto removes up to len(dst) micro-ops from the IDQ into dst and
-// returns how many were copied — the allocation-free form of Pop the
-// backend's dispatch stage uses every cycle.
-func (f *FrontEnd) PopInto(dst []isa.Uop) int {
-	n := len(dst)
-	if n > len(f.idq) {
-		n = len(f.idq)
-	}
-	copy(dst, f.idq[:n])
-	f.idq = f.idq[:copy(f.idq, f.idq[n:])]
-	return n
-}
+// Discard removes the n oldest micro-ops from the IDQ; n must not
+// exceed IDQLen.
+func (f *FrontEnd) Discard(n int) { f.idq = f.idq[n:] }
 
 // fetchGroup is one fetch unit of work: the static macro-ops from the
 // entry point to the region end or the first control-flow redirect the
@@ -394,7 +399,14 @@ func (f *FrontEnd) planFetch(pc uint64) *fetchGroup {
 // memoFor returns the memo for fetch entry pc, walking the program on
 // the entry's first visit.
 func (f *FrontEnd) memoFor(pc uint64) *entryMemo {
+	// Fibonacci hashing: the experiments place code at strides of the
+	// µop cache's set span, so the low PC bits alone would collide.
+	slot := &f.memoFront[(pc*0x9E3779B97F4A7C15)>>(64-memoFrontBits)]
+	if slot.m != nil && slot.pc == pc {
+		return slot.m
+	}
 	if m := f.memo[pc]; m != nil {
+		*slot = memoSlot{pc, m}
 		return m
 	}
 	m := &entryMemo{}
@@ -413,6 +425,7 @@ func (f *FrontEnd) memoFor(pc uint64) *entryMemo {
 	}
 	m.end = cur
 	f.memo[pc] = m
+	*slot = memoSlot{pc, m}
 	return m
 }
 
@@ -487,6 +500,11 @@ func (f *FrontEnd) Tick() {
 	room := f.cfg.IDQCapacity - len(f.idq)
 	if room <= 0 {
 		return
+	}
+	if cap(f.idq)-len(f.idq) < room {
+		// Out of tail room: slide the queue to the buffer's start, which
+		// leaves at least IDQCapacity free slots behind it.
+		f.idq = f.idqBuf[:copy(f.idqBuf, f.idq)]
 	}
 
 	if f.lsdActive {

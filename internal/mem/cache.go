@@ -51,10 +51,11 @@ type line struct {
 	used  uint64 // LRU timestamp
 }
 
-// Cache is one set-associative, true-LRU cache level.
+// Cache is one set-associative, true-LRU cache level. Lines are stored
+// flat and set-major: set s occupies lines[s*Ways : (s+1)*Ways].
 type Cache struct {
 	cfg   CacheConfig
-	sets  [][]line
+	lines []line
 	clock uint64
 	stats CacheStats
 
@@ -65,8 +66,9 @@ type Cache struct {
 	touched   []int32
 	istouched []bool
 
-	lineShift uint
-	setMask   uint64
+	lineShift uint   // log2(LineSize)
+	setBits   uint   // log2(Sets): the tag is the line address above them
+	setMask   uint64 // Sets − 1
 
 	// onEvict, if set, is called with the line-aligned address of every
 	// line leaving this level (capacity eviction, back-invalidation, or
@@ -80,17 +82,14 @@ func NewCache(name string, cfg CacheConfig) *Cache {
 	if err := cfg.validate(name); err != nil {
 		panic(err)
 	}
-	c := &Cache{
+	return &Cache{
 		cfg:       cfg,
-		sets:      make([][]line, cfg.Sets),
+		lines:     make([]line, cfg.Lines()),
 		istouched: make([]bool, cfg.Sets),
+		lineShift: log2(uint64(cfg.LineSize)),
+		setBits:   log2(uint64(cfg.Sets)),
+		setMask:   uint64(cfg.Sets - 1),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
-	c.lineShift = log2(uint64(cfg.LineSize))
-	c.setMask = uint64(cfg.Sets - 1)
-	return c
 }
 
 func log2(v uint64) uint {
@@ -113,7 +112,13 @@ func (c *Cache) SetEvictHook(fn func(lineAddr uint64)) { c.onEvict = fn }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	lineAddr := addr >> c.lineShift
-	return int(lineAddr & c.setMask), lineAddr >> log2(uint64(c.cfg.Sets))
+	return int(lineAddr & c.setMask), lineAddr >> c.setBits
+}
+
+// set returns set s's ways.
+func (c *Cache) set(s int) []line {
+	w := c.cfg.Ways
+	return c.lines[s*w : (s+1)*w : (s+1)*w]
 }
 
 // LineAddr returns the line-aligned base address containing addr.
@@ -125,8 +130,9 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 func (c *Cache) Lookup(addr uint64) bool {
 	set, tag := c.index(addr)
 	c.clock++
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			l.used = c.clock
 			return true
@@ -141,7 +147,7 @@ func (c *Cache) Access(addr uint64) bool {
 	c.stats.Accesses++
 	set, tag := c.index(addr)
 	c.clock++
-	ways := c.sets[set]
+	ways := c.set(set)
 	victim := 0
 	for i := range ways {
 		l := &ways[i]
@@ -177,7 +183,7 @@ func (c *Cache) notifyEvict(set int, tag uint64) {
 	if c.onEvict == nil {
 		return
 	}
-	lineAddr := (tag<<log2(uint64(c.cfg.Sets)) | uint64(set)) << c.lineShift
+	lineAddr := (tag<<c.setBits | uint64(set)) << c.lineShift
 	c.onEvict(lineAddr)
 }
 
@@ -185,8 +191,9 @@ func (c *Cache) notifyEvict(set int, tag uint64) {
 // whether a line was removed. The eviction hook fires.
 func (c *Cache) Invalidate(addr uint64) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			l.valid = false
 			c.notifyEvict(set, tag)
@@ -198,13 +205,11 @@ func (c *Cache) Invalidate(addr uint64) bool {
 
 // InvalidateAll empties the cache. Eviction hooks fire for every line.
 func (c *Cache) InvalidateAll() {
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			l := &c.sets[set][i]
-			if l.valid {
-				l.valid = false
-				c.notifyEvict(set, l.tag)
-			}
+	for i := range c.lines {
+		l := &c.lines[i]
+		if l.valid {
+			l.valid = false
+			c.notifyEvict(i/c.cfg.Ways, l.tag)
 		}
 	}
 }
@@ -237,7 +242,7 @@ func (c *Cache) Save(s *CacheState) {
 	}
 	s.lines = s.lines[:n]
 	for i, set := range c.touched {
-		copy(s.lines[i*w:(i+1)*w], c.sets[set])
+		copy(s.lines[i*w:(i+1)*w], c.set(int(set)))
 	}
 	s.clock = c.clock
 	s.stats = c.stats
@@ -253,16 +258,13 @@ func (c *Cache) Restore(s *CacheState) {
 		panic("mem: Restore from a checkpoint with different geometry")
 	}
 	for _, set := range c.touched {
-		row := c.sets[set]
-		for i := range row {
-			row[i] = line{}
-		}
+		clear(c.set(int(set)))
 		c.istouched[set] = false
 	}
 	c.touched = c.touched[:0]
 	w := c.cfg.Ways
 	for i, set := range s.sets {
-		copy(c.sets[set], s.lines[i*w:(i+1)*w])
+		copy(c.set(int(set)), s.lines[i*w:(i+1)*w])
 		c.istouched[set] = true
 		c.touched = append(c.touched, set)
 	}
@@ -273,8 +275,9 @@ func (c *Cache) Restore(s *CacheState) {
 // Contains probes without touching recency or statistics.
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			return true
 		}

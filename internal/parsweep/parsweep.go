@@ -8,8 +8,8 @@
 //
 // The pool is sized by Options.Workers (GOMAXPROCS when unset). A
 // per-worker setup hook lets each worker build one reusable resource —
-// in practice a cpu.Arena, so a 48-point sweep touches 8 guest-memory
-// images instead of 48.
+// in practice a cpu.Arena, so a 48-point sweep on 8 workers builds 8
+// guest-memory images and 8 cache hierarchies instead of 48 of each.
 package parsweep
 
 import (

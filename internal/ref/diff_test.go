@@ -7,21 +7,19 @@ import (
 	"deaduops/internal/asm"
 	"deaduops/internal/cpu"
 	"deaduops/internal/isa"
+	"deaduops/internal/profile"
 )
 
-// runBoth executes prog on the reference interpreter and the pipelined
-// core from identical initial state and returns both machines.
-func runBoth(t *testing.T, prog *asm.Program, gcfg GenConfig) (*Machine, *cpu.CPU) {
+// runBoth executes prog on the reference interpreter and on a
+// pipelined core built from ccfg, from identical initial state, and
+// returns both machines.
+func runBoth(t *testing.T, prog *asm.Program, gcfg GenConfig, ccfg cpu.Config) (*Machine, *cpu.CPU) {
 	t.Helper()
-	ccfg := cpu.Intel()
 	ccfg.KernelEntry = gcfg.KernelEntry
 
 	// Identical initial memory: a deterministic pattern in the scratch
 	// window.
-	pattern := make([]byte, gcfg.ScratchSize)
-	for i := range pattern {
-		pattern[i] = byte(i*37 + 11)
-	}
+	pattern := scratchPattern(gcfg.ScratchSize)
 
 	refMem := cpu.NewMemory(ccfg.MemSize)
 	refMem.WriteBytes(gcfg.ScratchBase, pattern)
@@ -80,7 +78,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		m, c := runBoth(t, prog, gcfg)
+		m, c := runBoth(t, prog, gcfg, cpu.Intel())
 		compareState(t, seed, m, c, gcfg)
 	}
 }
@@ -96,9 +94,31 @@ func TestDifferentialLargePrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		m, c := runBoth(t, prog, gcfg)
+		m, c := runBoth(t, prog, gcfg, cpu.Intel())
 		compareState(t, seed, m, c, gcfg)
 	}
+}
+
+// FuzzCoreVsRef is the differential contract as a fuzz target: a
+// random generated program, run under any profile with cycle skipping
+// on or off, must leave identical registers, memory and privilege on
+// the pipelined core and the reference interpreter.
+func FuzzCoreVsRef(f *testing.F) {
+	f.Add(uint64(1), uint8(0), true)
+	f.Add(uint64(7), uint8(3), false)
+	f.Add(uint64(42), uint8(4), true)
+	profiles := profile.All()
+	gcfg := DefaultGenConfig()
+	f.Fuzz(func(t *testing.T, seed uint64, p uint8, skip bool) {
+		prog, err := Generate(seed, gcfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		ccfg := cpu.FromProfile(profiles[int(p)%len(profiles)])
+		ccfg.DisableCycleSkip = !skip
+		m, c := runBoth(t, prog, gcfg, ccfg)
+		compareState(t, seed, m, c, gcfg)
+	})
 }
 
 // TestReferenceBasics sanity-checks the interpreter itself on a
