@@ -100,5 +100,5 @@ fuzz:
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzIndirectDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzPointRunner -fuzztime $(FUZZTIME)
 
-check: fmt-check build vet test race lint
+check: fmt-check build vet test race lint figures-digest
 	$(MAKE) fuzz FUZZTIME=5s

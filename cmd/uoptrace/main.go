@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"deaduops/internal/asm"
@@ -22,23 +23,32 @@ import (
 )
 
 func main() {
-	preset := flag.String("preset", "warmup", "workload: warmup | spectre")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("uoptrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	preset := fs.String("preset", "warmup", "workload: warmup | spectre")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	switch *preset {
 	case "warmup":
-		traceWarmup()
+		traceWarmup(stdout)
 	case "spectre":
-		traceSpectre()
+		traceSpectre(stdout)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown preset %q\n", *preset)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown preset %q\n", *preset)
+		return 2
 	}
+	return 0
 }
 
 // traceWarmup shows the same loop iteration decoding through MITE cold
 // and streaming from the DSB warm.
-func traceWarmup() {
+func traceWarmup(w io.Writer) {
 	b := asm.New(0x10000)
 	b.Label("entry")
 	b.Label("loop")
@@ -53,20 +63,20 @@ func traceWarmup() {
 
 	c := cpu.New(cpu.Intel())
 	c.LoadProgram(prog)
-	tr := trace.Attach(c, os.Stdout)
+	tr := trace.Attach(c, w)
 	defer tr.Detach()
 
-	fmt.Println("# cold run (3 iterations): legacy decode fills the µop cache")
+	fmt.Fprintln(w, "# cold run (3 iterations): legacy decode fills the µop cache")
 	c.SetReg(0, isa.R14, 3)
 	c.Run(0, prog.Entry, 100000)
-	fmt.Println("\n# warm run (3 iterations): same code streams from the µop cache")
+	fmt.Fprintln(w, "\n# warm run (3 iterations): same code streams from the µop cache")
 	c.SetReg(0, isa.R14, 3)
 	c.Run(0, prog.Entry, 100000)
 }
 
 // traceSpectre shows a mistrained bounds check opening a transient
 // window: the squash arrives ~200 cycles after the flushed guard load.
-func traceSpectre() {
+func traceSpectre(w io.Writer) {
 	lay := victim.DefaultLayout()
 	b := asm.New(0x20000)
 	victim.BoundsCheckVictim(b, lay)
@@ -88,11 +98,11 @@ func traceSpectre() {
 		c.Run(0, prog.Entry, 100000)
 	}
 
-	tr := trace.Attach(c, os.Stdout)
+	tr := trace.Attach(c, w)
 	defer tr.Detach()
-	fmt.Println("# malicious call: watch the late squash ending the transient window")
+	fmt.Fprintln(w, "# malicious call: watch the late squash ending the transient window")
 	c.SetReg(0, isa.R1, lay.ArrayLen+512)
 	c.SetReg(0, isa.R2, 0)
 	c.Run(0, prog.Entry, 100000)
-	fmt.Printf("\n# squashes observed: %d\n", tr.Squashes)
+	fmt.Fprintf(w, "\n# squashes observed: %d\n", tr.Squashes)
 }

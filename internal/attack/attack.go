@@ -104,9 +104,14 @@ type Routine struct {
 // the chain's first set that the chain does not occupy
 // (codegen.ChainSpec.TailAddr) — outside both a tiger's and its
 // zebra's stripes, and outside an arbitrary probe chain's set list, so
-// the tail's own line never pollutes a probed set.
+// the tail's own line never pollutes a probed set. A chain over every
+// set leaves no room for the tail and is an error.
 func Build(spec *codegen.ChainSpec) (*Routine, error) {
-	prog, err := spec.LoopProgram(spec.TailAddr())
+	tail, err := spec.TailAddr()
+	if err != nil {
+		return nil, fmt.Errorf("attack: building %s: %w", spec.Label, err)
+	}
+	prog, err := spec.LoopProgram(tail)
 	if err != nil {
 		return nil, fmt.Errorf("attack: building %s: %w", spec.Label, err)
 	}

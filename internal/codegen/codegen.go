@@ -181,8 +181,9 @@ func (s *ChainSpec) BodyBytes() int { return s.regionBodyBytes() }
 // chain's own sets matters when the set list is dense (a receiver
 // probing adjacent divergent sets): the naive "+1" rule would park the
 // tail inside a probed set, and the tail's own line would then pollute
-// the very occupancy the probe measures.
-func (s *ChainSpec) TailAddr() uint64 {
+// the very occupancy the probe measures. A chain that occupies every
+// set leaves no such index, and TailAddr reports an error.
+func (s *ChainSpec) TailAddr() (uint64, error) {
 	nsets := s.numSets()
 	tailSet := 0
 	if len(s.Sets) > 0 {
@@ -190,12 +191,16 @@ func (s *ChainSpec) TailAddr() uint64 {
 		for _, set := range s.Sets {
 			occupied[set] = true
 		}
-		tailSet = (s.Sets[0] + 1) % nsets
-		for occupied[tailSet] {
-			tailSet = (tailSet + 1) % nsets
+		free := false
+		for i := 1; i <= nsets && !free; i++ {
+			tailSet = (s.Sets[0] + i) % nsets
+			free = !occupied[tailSet]
+		}
+		if !free {
+			return 0, fmt.Errorf("codegen: chain occupies all %d sets, no set is free for the loop tail", nsets)
 		}
 	}
-	return s.Base + uint64(s.Ways+1)*s.wayStride() + uint64(tailSet)*RegionSize
+	return s.Base + uint64(s.Ways+1)*s.wayStride() + uint64(tailSet)*RegionSize, nil
 }
 
 // UopsPerRegion returns the micro-op count of each region (NOPs, the

@@ -257,7 +257,10 @@ func TestTailAddrAvoidsChainSets(t *testing.T) {
 	}
 	for _, sets := range cases {
 		s := ProbeChain(0x40000, sets, 2, "p")
-		tail := s.TailAddr()
+		tail, err := s.TailAddr()
+		if err != nil {
+			t.Fatalf("sets %v: %v", sets, err)
+		}
 		tailSet := int(tail / RegionSize % (WayStride / RegionSize))
 		for _, set := range sets {
 			if tailSet == set {
@@ -271,6 +274,31 @@ func TestTailAddrAvoidsChainSets(t *testing.T) {
 		}
 		if _, err := s.LoopProgram(tail); err != nil {
 			t.Errorf("sets %v: loop program rejects own tail: %v", sets, err)
+		}
+	}
+}
+
+// TestTailAddrFullChainErrors is the regression for a chain over every
+// set of its geometry: no set is free for the loop tail, and the scan
+// must report that instead of looping forever.
+func TestTailAddrFullChainErrors(t *testing.T) {
+	for _, nsets := range []int{0, 64} {
+		s := ProbeChain(0x40000, nil, 2, "p")
+		s.NumSets = nsets
+		for set := 0; set < s.numSets(); set++ {
+			s.Sets = append(s.Sets, (set+5)%s.numSets())
+		}
+		if tail, err := s.TailAddr(); err == nil {
+			t.Errorf("%d sets: full chain got tail %#x, want an error", s.numSets(), tail)
+		}
+		// One free set is enough, wherever it falls in the scan.
+		s.Sets = s.Sets[:len(s.Sets)-1]
+		tail, err := s.TailAddr()
+		if err != nil {
+			t.Fatalf("%d sets: one free set: %v", s.numSets(), err)
+		}
+		if got, want := int(tail/RegionSize)%s.numSets(), 4; got != want {
+			t.Errorf("%d sets: tail in set %d, want the free set %d", s.numSets(), got, want)
 		}
 	}
 }

@@ -197,7 +197,11 @@ func ProbeModel(cfg Config, taken, fall uopcache.FootprintResult, div []int) (*P
 			cfg.ProbeIters, cfg.PrimeTraversals, cfg.VictimRuns, len(div))
 	}
 	spec := ReceiverSpec(cfg, div)
-	prog, err := spec.LoopProgram(spec.TailAddr())
+	tailAddr, err := spec.TailAddr()
+	if err != nil {
+		return nil, fmt.Errorf("staticlint: receiver routine: %w", err)
+	}
+	prog, err := spec.LoopProgram(tailAddr)
 	if err != nil {
 		return nil, fmt.Errorf("staticlint: receiver routine: %w", err)
 	}

@@ -1,12 +1,15 @@
 package staticlint
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"deaduops/internal/asm"
 	"deaduops/internal/attack"
 	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
+	"deaduops/internal/isa"
 	"deaduops/internal/uopcache"
 )
 
@@ -24,6 +27,54 @@ func TestReceiverSpecFullOccupancy(t *testing.T) {
 	}
 	if spec.NopPerRegion != codegen.TigerNops || !spec.LCP {
 		t.Errorf("receiver regions not tiger-shaped: %+v", spec)
+	}
+}
+
+// TestLintDivergenceOverEverySet is the regression for a secret branch
+// whose taken path touches every µop cache set: the receiver chain over
+// the divergent sets then leaves no set for its loop tail. The receiver
+// model must fail, and the divergence finding ship without a probe
+// histogram, instead of the analysis never returning.
+func TestLintDivergenceOverEverySet(t *testing.T) {
+	cfg := DefaultConfig()
+	nsets := cfg.UopCache.Sets
+	b := asm.New(0x10000)
+	b.Cmpi(isa.R5, 0)
+	b.Jcc(isa.NE, "r0")
+	b.Halt() // fall-through: one line in set 0
+	// Taken: one jump per region across every set, ending in a second
+	// set-0 region, so set 0 holds two lines and every set diverges.
+	for set := 0; set < nsets; set++ {
+		next := fmt.Sprintf("r%d", set+1)
+		if set == nsets-1 {
+			next = "end"
+		}
+		b.Org(0x20000 + uint64(set)*codegen.RegionSize)
+		b.Label(fmt.Sprintf("r%d", set))
+		b.Jmp(next)
+	}
+	b.Org(0x20000 + uint64(nsets)*codegen.RegionSize)
+	b.Label("end")
+	b.Halt()
+	p := b.MustBuild()
+
+	done := make(chan *Report, 1)
+	go func() { done <- Lint(p, Spec{SecretRegs: []isa.Reg{isa.R5}}, cfg) }()
+	var r *Report
+	select {
+	case r = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Lint did not return: the receiver model hangs on an all-sets divergence")
+	}
+	fs := r.ByChecker("dsb-footprint-divergence")
+	if len(fs) != 1 {
+		t.Fatalf("divergence findings = %v, want 1", fs)
+	}
+	if got := len(fs[0].DivergentSets); got != nsets {
+		t.Errorf("divergent sets = %d, want all %d", got, nsets)
+	}
+	if fs[0].Probe != nil {
+		t.Errorf("receiver model priced a chain with no free tail set: %+v", fs[0].Probe)
 	}
 }
 

@@ -51,3 +51,32 @@ func ExampleVariant2() {
 	// Output:
 	// secret bit: true
 }
+
+// ExampleVariant2_SignalStrength is the paper's Figure 10 in three
+// lines: the probe time with the secret bit set (one) and clear (zero)
+// behind each fence. LFENCE leaves the channel open, because the
+// transmitter is fetched before it could ever dispatch; only the
+// fetch-serializing CPUID closes it.
+func ExampleVariant2_SignalStrength() {
+	for _, f := range []victim.Fence{victim.NoFence, victim.WithLFENCE, victim.WithCPUID} {
+		v, err := transient.NewVariant2(cpu.New(cpu.Intel()), f)
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		one, zero, err := v.SignalStrength(4)
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		leak := "LEAKS"
+		if zero <= one*1.2 {
+			leak = "closed"
+		}
+		fmt.Printf("fence=%-7s probe(one)=%4.0f probe(zero)=%4.0f → channel %s\n", f, one, zero, leak)
+	}
+	// Output:
+	// fence=none    probe(one)=  25 probe(zero)= 104 → channel LEAKS
+	// fence=lfence  probe(one)=  25 probe(zero)= 104 → channel LEAKS
+	// fence=cpuid   probe(one)= 104 probe(zero)= 104 → channel closed
+}
