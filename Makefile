@@ -88,9 +88,13 @@ figures-digest:
 # core's, under every profile, with cycle skip on and off — and the
 # core ≡ reference contract: a generated program leaves the same
 # architectural state on the pipelined core (any profile, skip on or
-# off) as on the sequential interpreter.
+# off) as on the sequential interpreter — and the scheduler's
+# bookkeeping: at every retirement of a generated program, single-thread
+# and SMT, the backend's wakeup counts, consumer lists, ready set and
+# timing wheel match a full scan of the ROB.
 fuzz:
 	$(GO) test ./internal/ref -fuzz FuzzCoreVsRef -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/backend -fuzz FuzzWorklistInvariants -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/decode -fuzz FuzzPlanRegion -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint -fuzz FuzzIndirectResolve -fuzztime $(FUZZTIME)

@@ -492,8 +492,8 @@ func (c *CPU) Run(t int, entry uint64, maxCycles uint64) RunResult {
 		// arbitration keys off absolute cycle parity (miteTurn), which a
 		// jump would break.
 		k := th.fe.SkipBound()
-		if b := th.be.SkipBound(c.cycle); b < k {
-			k = b
+		if k > 0 {
+			k = min(k, th.be.SkipBound(c.cycle))
 		}
 		if budget := maxCycles - (c.cycle - start); k > budget {
 			// Idle past the run budget (possibly forever — a stuck

@@ -303,18 +303,36 @@ func (in *Inst) String() string {
 }
 
 // Uop is a decoded micro-op, the unit buffered in the micro-op cache,
-// the IDQ, and the backend.
+// the IDQ, and the backend. Every delivered µop is copied three times
+// (DSB line → stream buffer → IDQ → ROB entry), so the fields are
+// ordered widest first: the five 8-byte fields, then the byte-sized
+// ones packed together, for 56 bytes with no interior padding.
 type Uop struct {
+	// MacroAddr/MacroLen identify the parent macro-op; FallThrough
+	// derives the fall-through address used for branch-resolution
+	// redirects from them.
+	MacroAddr uint64
+	// Imm mirrors the macro-op immediate, like Dst, Src and Cond below.
+	Imm int64
+	// FusedImm is the second operand of a macro-fused compare half
+	// when FusedHasImm is set (see FusedOp below).
+	FusedImm int64
+	// BranchPC is the address of the branch macro-op itself — for a
+	// macro-fused micro-op this differs from MacroAddr (which names
+	// the compare). Predictor lookups and updates key on BranchPC.
+	BranchPC uint64
+	// PredTaken/PredTarget carry the branch-prediction outcome the
+	// fetch engine followed past this micro-op, so the backend can
+	// detect mispredictions on resolution.
+	PredTarget uint64
+	PredTaken  bool
+
 	// Op is the parent macro-op opcode; Index is this micro-op's
 	// position within the macro-op's decomposition; Count the total.
-	Op    Op
-	Index uint8
-	Count uint8
-
-	// MacroAddr/MacroLen identify the parent macro-op; NextAddr is the
-	// fall-through address used for branch-resolution redirects.
-	MacroAddr uint64
-	MacroLen  uint8
+	Op       Op
+	Index    uint8
+	Count    uint8
+	MacroLen uint8
 
 	// Slots is the number of micro-op cache slots consumed (2 for a
 	// 64-bit immediate).
@@ -324,10 +342,9 @@ type Uop struct {
 	// FromMSROM marks delivery by the microcode sequencer.
 	FromMSROM bool
 
-	// Dst, Src, Imm, Cond mirror the macro-op operands.
+	// Dst, Src, Cond (with Imm above) mirror the macro-op operands.
 	Dst  Reg
 	Src  Reg
-	Imm  int64
 	Cond Cond
 	// HasImm selects the immediate form for ALU/compare micro-ops.
 	HasImm bool
@@ -337,19 +354,7 @@ type Uop struct {
 	// second operand. The branch half lives in the main fields.
 	FusedOp     Op
 	FusedSrc    Reg
-	FusedImm    int64
 	FusedHasImm bool
-
-	// BranchPC is the address of the branch macro-op itself — for a
-	// macro-fused micro-op this differs from MacroAddr (which names
-	// the compare). Predictor lookups and updates key on BranchPC.
-	BranchPC uint64
-
-	// PredTaken/PredTarget carry the branch-prediction outcome the
-	// fetch engine followed past this micro-op, so the backend can
-	// detect mispredictions on resolution.
-	PredTaken  bool
-	PredTarget uint64
 }
 
 // IsBranch reports whether the micro-op resolves control flow in the

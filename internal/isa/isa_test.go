@@ -3,7 +3,18 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestUopSize pins the µop at 56 bytes. Every delivered µop is copied
+// three times (DSB line → stream buffer → IDQ → ROB entry), so a field
+// added or placed without regard to alignment makes every delivery
+// dearer: widen the budget here only on purpose.
+func TestUopSize(t *testing.T) {
+	if got := unsafe.Sizeof(Uop{}); got != 56 {
+		t.Errorf("sizeof(Uop) = %d bytes, want 56", got)
+	}
+}
 
 func TestOpStrings(t *testing.T) {
 	cases := map[Op]string{

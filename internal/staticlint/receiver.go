@@ -24,6 +24,7 @@ import (
 
 	"deaduops/internal/codegen"
 	"deaduops/internal/decode"
+	"deaduops/internal/isa"
 	"deaduops/internal/uopcache"
 )
 
@@ -310,9 +311,17 @@ func ProbeModel(cfg Config, taken, fall uopcache.FootprintResult, div []int) (*P
 	// round order) against the real replacement state machine in
 	// internal/uopcache, and prices each observed probe miss with the
 	// segment's refill delta from the shared cost table.
+	// resident streams addr's trace (bumping hotness and the stats, as the
+	// fetch engine does) into one reused buffer: only the outcome counts.
+	var streamed []isa.Uop
+	resident := func(cache *uopcache.Cache, addr uint64) bool {
+		var ok bool
+		streamed, ok = cache.LookupAppend(0, addr, streamed[:0])
+		return ok
+	}
 	runRecv := func(cache *uopcache.Cache, n int) (misses, extra int) {
 		touch := func(s probeSeg) {
-			if _, ok := cache.Lookup(0, s.addr); ok {
+			if resident(cache, s.addr) {
 				return
 			}
 			misses++
@@ -358,7 +367,7 @@ func ProbeModel(cfg Config, taken, fall uopcache.FootprintResult, div []int) (*P
 		runRecv(cache, cfg.PrimeTraversals) // prime
 		for r := 0; r < cfg.VictimRuns; r++ {
 			for _, s := range victim {
-				if _, ok := cache.Lookup(0, s.addr); !ok {
+				if !resident(cache, s.addr) {
 					cache.Fill(0, s.trace)
 				}
 			}
