@@ -11,9 +11,8 @@ import (
 // TestSteadyStateRunAllocs pins the steady-state cycle loop to zero
 // heap allocations. After warmup the µop cache holds the loop's trace,
 // the predictors are trained, and every pooled buffer — the IDQ, the
-// DSB stream buffer, the reusable fetch group, the ROB entry pool with
-// its graveyard, and the scheduler's worklists — has grown to capacity,
-// so a whole Run (including the final mispredicted loop exit and its
+// DSB stream buffer, the reusable fetch group, the ROB's entry ring and
+// the scheduler's worklists — has grown to capacity, so a whole Run (including the final mispredicted loop exit and its
 // squash) must not touch the heap. Sweep throughput depends on this
 // invariant; a regression here silently multiplies GC pressure across
 // every parallel worker.
